@@ -148,8 +148,8 @@ func BenchmarkTable1(b *testing.B) {
 	runFASTOD(b, ds, seqOpts())
 }
 
-// BenchmarkAblation measures the individual optimizations called out in
-// DESIGN.md: key pruning, node pruning and the sorted-scan swap check.
+// BenchmarkAblation measures the individual optimizations listed in README,
+// "Substitutions": key pruning, node pruning and the sorted swap check.
 func BenchmarkAblation(b *testing.B) {
 	ds := figureDataset("flight", 1000, 10)
 	b.Run("baseline", func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })

@@ -60,7 +60,8 @@ func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, er
 // orderCompatError computes the error of X: A ~ B: within each equivalence
 // class the largest swap-free subset is the longest non-decreasing
 // subsequence of B-ranks once the class is ordered by (A, B) — the
-// SwapRemovals kernel of package partition (radix sort plus patience
+// SwapRemovals kernel of package partition (radix sort on the packed (A, B)
+// key, unlike the A-only sort of the exact swap check, plus patience
 // sorting); everything else must be removed.
 func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Error, error) {
 	if err := checkAttr(enc, a); err != nil {

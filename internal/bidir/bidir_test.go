@@ -343,3 +343,42 @@ func TestParallelWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoverOnRowViewsMatchesFreshEncoding: HeadRows keeps the parent's
+// ranks without re-densifying them, so a view's ranks can exceed its
+// Cardinality-1. Discovery on the view must still equal discovery on a fresh
+// encoding of the same rows — in particular the opposite-polarity checks,
+// which reverse ranks, must not see negative ranks.
+func TestDiscoverOnRowViewsMatchesFreshEncoding(t *testing.T) {
+	gens := map[string]func(rows, cols int, seed int64) *relation.Relation{
+		"flight":  datagen.FlightLike,
+		"dbtesma": datagen.DBTesmaLike,
+		"ncvoter": datagen.NCVoterLike,
+	}
+	for name, gen := range gens {
+		for seed := int64(1); seed <= 20; seed++ {
+			rel := gen(400, 6, seed)
+			enc := encode(t, rel)
+			for _, k := range []int{20, 60} {
+				view, err := Discover(enc.HeadRows(k), Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := Discover(encode(t, rel.Head(k)), Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(view.ODs) != len(fresh.ODs) {
+					t.Fatalf("%s seed %d head %d: %d ODs on the view, %d on a fresh encoding",
+						name, seed, k, len(view.ODs), len(fresh.ODs))
+				}
+				for i := range fresh.ODs {
+					if view.ODs[i] != fresh.ODs[i] {
+						t.Fatalf("%s seed %d head %d: OD %d = %v on the view, %v on a fresh encoding",
+							name, seed, k, i, view.ODs[i], fresh.ODs[i])
+					}
+				}
+			}
+		}
+	}
+}

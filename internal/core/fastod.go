@@ -291,8 +291,10 @@ func (d *discoverer) checkConstancy(ctx, x bitset.AttrSet, sh *checkShard) bool 
 }
 
 // checkOrderCompat validates X\{A,B}: A ~ B by scanning the equivalence
-// classes of the context partition for swaps, using the calling worker's
-// engine scratch so the radix-sorted check allocates nothing. It returns
+// classes of the context partition for swaps (HasSwapWith: each class
+// radix-sorted by A-rank, then one pass checking that B never decreases
+// across strictly larger A), using the calling worker's engine scratch so
+// the check allocates nothing. It returns
 // (valid, minimal): when the context is a superkey the OD is valid but never
 // minimal (Lemma 13), so it is removed from the candidate set without being
 // emitted.

@@ -1,9 +1,19 @@
 // Package partition implements the partition machinery of Section 4.6 of the
 // paper: equivalence-class partitions ΠX over attribute sets, stripped
 // partitions Π*X (singleton classes removed), linear-time partition products,
-// and the sorted-scan swap check used to validate order-compatibility ODs
-// X: A ~ B. All operations work on rank-encoded columns (see package
-// relation), so value comparisons are integer comparisons.
+// and the swap check used to validate order-compatibility ODs X: A ~ B, which
+// orders each class by A-rank and scans it once for a B-rank that falls below
+// the B-ranks of strictly smaller A-ranks. All operations work on
+// rank-encoded columns (see package relation), so value comparisons are
+// integer comparisons.
+//
+// # Ranks
+//
+// Every kernel requires ranks to be non-negative. It does not require them
+// to be dense: row views (relation.Encoded.HeadRows and SelectRows) keep
+// their parent's ranks, so a view's ranks may exceed its Cardinality-1.
+// The cardinality passed to FromColumn is a sizing hint, and the kernels
+// size their tables from the ranks they meet.
 //
 // # Memory model
 //
@@ -65,10 +75,11 @@ func fromClasses(numRows int, classes [][]int32) *Partition {
 }
 
 // FromColumn builds the stripped partition of a single rank-encoded column.
-// Because ranks are dense (0..cardinality-1), the grouping is a two-pass
-// counting sort straight into the flat arena; the resulting classes are
-// ordered by rank, so the partition of a single attribute doubles as the
-// sorted partition τA of Section 4.6.
+// Ranks are non-negative and normally dense (0..cardinality-1), so the
+// grouping is a two-pass counting sort straight into the flat arena; a rank
+// at or past cardinality (a row view's sparse rank) grows the count table.
+// The resulting classes are ordered by rank, so the partition of a single
+// attribute doubles as the sorted partition τA of Section 4.6.
 func FromColumn(col []int32, cardinality int) *Partition {
 	if cardinality < 0 {
 		cardinality = 0

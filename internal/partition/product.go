@@ -39,8 +39,9 @@ type Scratch struct {
 	// (or by a PartitionStore) and the staging arrays amortize across calls.
 	outRows    []int32
 	outOffsets []int32
-	// keys/keyRows and tmpKeys/tmpRows are the (rank-pair, row) buffers of the
-	// radix sort behind the swap kernels.
+	// keys/keyRows and tmpKeys/tmpRows are the (key, row) buffers of the
+	// radix sort behind the swap kernels. The swap checks key each row by its
+	// A-rank alone; SwapRemovals keys it by the packed (A-rank, B-rank) pair.
 	keys    []uint64
 	keyRows []int32
 	tmpKeys []uint64

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -179,29 +180,154 @@ func constancyRemovalsNaive(p *Partition, col []int32) int {
 	return removals
 }
 
-// TestRadixSortCrossesCutoff forces classes on both sides of the insertion
-// cutoff — including far beyond it, exercising multi-digit radix passes with
-// large dense ranks — and checks the swap verdict against the oracle.
+// TestRadixSortCrossesCutoff drives the swap kernels through every shape of
+// the radix sort: classes on both sides of insertionCutoff and far beyond
+// it, in the single all-rows class of the empty context and in a skewed
+// context. Random ranks spanning the row range almost always swap, so
+// structured cases add A-ranks that need one to four 8-bit passes,
+// heavy A-ties, and a swap-free majority.
 func TestRadixSortCrossesCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	s := NewScratch()
+	swapFree, total := 0, 0
+	check := func(name string, ctx *Partition, colA, colB []int32) {
+		t.Helper()
+		total++
+		if !checkSwapKernels(t, name, ctx, colA, colB, s) {
+			swapFree++
+		}
+		if got, want := ctx.SwapRemovals(colA, colB, s), swapRemovalsNaive(ctx, colA, colB); got != want {
+			t.Fatalf("%s: SwapRemovals = %d, naive = %d", name, got, want)
+		}
+	}
 	for _, rows := range []int{insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 4 * insertionCutoff, 1024} {
+		all := FromConstant(rows)
 		for trial := 0; trial < 20; trial++ {
-			// One giant class (constant context) with ranks spanning the full
-			// row range so the radix sort needs multiple 8-bit digits.
 			colA := make([]int32, rows)
 			colB := make([]int32, rows)
 			for i := range colA {
 				colA[i] = int32(rng.Intn(rows))
 				colB[i] = int32(rng.Intn(rows))
 			}
-			ctx := FromConstant(rows)
-			if got, want := ctx.HasSwapWith(colA, colB, s), ctx.HasSwapNaive(colA, colB); got != want {
-				t.Fatalf("rows=%d trial %d: HasSwapWith = %v, naive = %v", rows, trial, got, want)
+			check(fmt.Sprintf("rows=%d random trial %d", rows, trial), all, colA, colB)
+		}
+		ctxCol, ctxCard := skewedColumn(rng, rows, 3, 0.5)
+		for _, a := range []struct{ base, stride int32 }{{0, 1}, {1 << 8, 1}, {1 << 16, 1}, {7, 1 << 15}} {
+			for _, aCard := range []int{2, 5, rows} {
+				for trial := 0; trial < 4; trial++ {
+					colA, colB := swapCase(rng, rows, a.base, a.stride, aCard, trial > 0)
+					name := fmt.Sprintf("rows=%d A=%d+i*%d aCard=%d trial %d", rows, a.base, a.stride, aCard, trial)
+					check(name, all, colA, colB)
+					check(name+" skewed ctx", FromColumn(ctxCol, ctxCard), colA, colB)
+				}
 			}
-			if got, want := ctx.SwapRemovals(colA, colB, s), swapRemovalsNaive(ctx, colA, colB); got != want {
-				t.Fatalf("rows=%d trial %d: SwapRemovals = %d, naive = %d", rows, trial, got, want)
+		}
+	}
+	if 2*swapFree < total {
+		t.Fatalf("only %d of %d cases are swap-free; want at least half", swapFree, total)
+	}
+}
+
+// findSwapBrute is the witness rule of FindSwap restated without any sort:
+// in the first class (in class order) that contains a swap, take the
+// smallest A-rank a whose group holds a row with a B-rank below the largest
+// B-rank of the rows with A-rank < a. RowT is the first row (in class order)
+// of that group with the smallest such B-rank; RowS is the first row (in
+// class order) holding that largest B-rank within the smallest A-rank that
+// reaches it.
+func findSwapBrute(p *Partition, colA, colB []int32) (SwapWitness, bool) {
+	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
+		cls := p.Class(ci)
+		as := map[int32]bool{}
+		for _, row := range cls {
+			as[colA[row]] = true
+		}
+		sorted := make([]int32, 0, len(as))
+		for a := range as {
+			sorted = append(sorted, a)
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for _, a := range sorted {
+			maxB, rowS, rowSA := int32(-1), int32(-1), int32(0)
+			for _, row := range cls {
+				if colA[row] >= a {
+					continue
+				}
+				b := colB[row]
+				if b > maxB || (b == maxB && colA[row] < rowSA) {
+					maxB, rowS, rowSA = b, row, colA[row]
+				}
 			}
+			rowT, minB := int32(-1), maxB
+			for _, row := range cls {
+				if colA[row] == a && colB[row] < minB {
+					rowT, minB = row, colB[row]
+				}
+			}
+			if rowT >= 0 {
+				return SwapWitness{RowS: int(rowS), RowT: int(rowT)}, true
+			}
+		}
+	}
+	return SwapWitness{}, false
+}
+
+// swapCase draws a rank pair over rows whose A-ranks are aBase+i*aStride for
+// aCard distinct values of i (few values means heavy A-ties; a wide stride
+// spreads the ranks over more radix digits). When swapFree is set, B is a
+// non-decreasing function of A plus jitter that stays inside the A-group's
+// band, so no class can hold a swap; otherwise one row's B-rank is lowered
+// at random, which may or may not create a swap.
+func swapCase(rng *rand.Rand, rows int, aBase, aStride int32, aCard int, swapFree bool) (colA, colB []int32) {
+	colA = make([]int32, rows)
+	colB = make([]int32, rows)
+	for i := range colA {
+		idx := int32(rng.Intn(aCard))
+		colA[i] = aBase + idx*aStride
+		colB[i] = 3*idx + int32(rng.Intn(3))
+	}
+	if !swapFree {
+		i := rng.Intn(rows)
+		colB[i] = int32(rng.Intn(int(colB[i]) + 1))
+	}
+	return colA, colB
+}
+
+// checkSwapKernels compares HasSwapWith and FindSwapWith with the all-pairs
+// oracle and FindSwapWith's witness with the brute-force witness rule, and
+// reports whether the context has a swap.
+func checkSwapKernels(t *testing.T, name string, ctx *Partition, colA, colB []int32, s *Scratch) bool {
+	t.Helper()
+	naive := ctx.HasSwapNaive(colA, colB)
+	if fast := ctx.HasSwapWith(colA, colB, s); fast != naive {
+		t.Fatalf("%s: HasSwapWith = %v, naive oracle = %v", name, fast, naive)
+	}
+	w, found := ctx.FindSwapWith(colA, colB, s)
+	wantW, wantFound := findSwapBrute(ctx, colA, colB)
+	if found != naive || wantFound != naive {
+		t.Fatalf("%s: FindSwapWith found = %v, brute = %v, naive oracle = %v", name, found, wantFound, naive)
+	}
+	if w != wantW {
+		t.Fatalf("%s: FindSwapWith witness = %+v, brute-force rule = %+v", name, w, wantW)
+	}
+	return naive
+}
+
+func TestFindSwapWitnessRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	s := NewScratch()
+	for trial := 0; trial < 400; trial++ {
+		rows := 2 + rng.Intn(120)
+		ctxCol, ctxCard := skewedColumn(rng, rows, 1+rng.Intn(8), rng.Float64())
+		var colA, colB []int32
+		if trial%2 == 0 {
+			colA, colB = swapCase(rng, rows, 0, 1, 1+rng.Intn(rows), rng.Intn(4) == 0)
+		} else {
+			colA, _ = skewedColumn(rng, rows, 1+rng.Intn(rows), rng.Float64())
+			colB, _ = skewedColumn(rng, rows, 1+rng.Intn(rows), rng.Float64())
+		}
+		for _, ctx := range []*Partition{FromColumn(ctxCol, ctxCard), FromConstant(rows)} {
+			checkSwapKernels(t, "witness trial", ctx, colA, colB, s)
 		}
 	}
 }

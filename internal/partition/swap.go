@@ -17,17 +17,24 @@ func (p *Partition) HasSwap(colA, colB []int32) bool {
 }
 
 // HasSwapWith is HasSwap using s as scratch space (nil allocates one). Each
-// class is ordered by its (A-rank, B-rank) pairs with a scratch-backed radix
-// sort over the dense ranks — no per-class allocation, no comparison sort —
-// and then scanned once: B-ranks must never decrease across strictly
-// increasing A-ranks.
+// class is ordered by A-rank alone with a scratch-backed stable radix sort —
+// no per-class allocation, no comparison sort, and only as many 8-bit passes
+// as the largest A-rank needs — and then scanned once group by group: every
+// B-rank in a group of equal A-rank must be at least the largest B-rank of
+// the strictly smaller A-groups. Rows tied on A never form a swap, so their
+// B-order is irrelevant and B stays out of the sort key.
 func (p *Partition) HasSwapWith(colA, colB []int32, s *Scratch) bool {
 	_, found := p.findSwap(colA, colB, false, s)
 	return found
 }
 
 // FindSwap returns a witness pair for a swap between colA and colB within the
-// context partition, if one exists.
+// context partition, if one exists. The witness is deterministic: it comes
+// from the first class (in class order) that contains a swap; within that
+// class, over rows ordered by A-rank with class order breaking ties, RowT is
+// the first row holding the smallest violating B-rank of the first A-group
+// that contains a violation, and RowS is the first row holding the largest
+// B-rank among the A-groups before it.
 func (p *Partition) FindSwap(colA, colB []int32) (SwapWitness, bool) {
 	return p.findSwap(colA, colB, true, nil)
 }
@@ -39,7 +46,7 @@ func (p *Partition) FindSwapWith(colA, colB []int32, s *Scratch) (SwapWitness, b
 
 // pairKey packs a row's (A-rank, B-rank) pair into one radix-sortable key:
 // ascending key order is ascending (A, B) lexicographic order. Ranks are
-// dense non-negative int32s, so the unsigned widening is order-preserving.
+// non-negative int32s, so the unsigned widening is order-preserving.
 func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
@@ -49,36 +56,36 @@ func (p *Partition) findSwap(colA, colB []int32, wantWitness bool, s *Scratch) (
 		s = NewScratch()
 	}
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
-		cls := p.Class(ci)
-		keys, rows := s.sortClassByRanks(cls, colA, colB)
+		keys, rows := s.sortClassByA(p.Class(ci), colA)
 		// Scan groups of equal A-rank. Every B-rank in the current group must
-		// be >= the maximum B-rank seen in strictly smaller A-groups.
-		runningMax := int32(-1)
-		var runningMaxRow int32 = -1
+		// be >= runningMax, the largest B-rank of the strictly smaller
+		// A-groups (-1 before the first group: ranks are non-negative).
+		runningMax, runningMaxRow := int32(-1), int32(-1)
 		k := len(keys)
-		i := 0
-		for i < k {
-			a := keys[i] >> 32
+		for i := 0; i < k; {
+			a := keys[i]
+			groupMax, groupMaxRow := int32(-1), int32(-1)
+			violB, violRow := runningMax, int32(-1)
 			j := i
-			groupMax := int32(uint32(keys[i]))
-			groupMaxRow := rows[i]
-			for j < k && keys[j]>>32 == a {
-				b := int32(uint32(keys[j]))
-				if b < runningMax && runningMax >= 0 {
-					if wantWitness {
-						return SwapWitness{RowS: int(runningMaxRow), RowT: int(rows[j])}, true
+			for ; j < k && keys[j] == a; j++ {
+				row := rows[j]
+				b := colB[row]
+				if b < violB {
+					if !wantWitness {
+						return SwapWitness{}, true
 					}
-					return SwapWitness{}, true
+					// Finish the group: the witness is its smallest violation.
+					violB, violRow = b, row
 				}
 				if b > groupMax {
-					groupMax = b
-					groupMaxRow = rows[j]
+					groupMax, groupMaxRow = b, row
 				}
-				j++
+			}
+			if violRow >= 0 {
+				return SwapWitness{RowS: int(runningMaxRow), RowT: int(violRow)}, true
 			}
 			if groupMax > runningMax {
-				runningMax = groupMax
-				runningMaxRow = groupMaxRow
+				runningMax, runningMaxRow = groupMax, groupMaxRow
 			}
 			i = j
 		}
@@ -91,9 +98,10 @@ func (p *Partition) findSwap(colA, colB []int32, wantWitness bool, s *Scratch) (
 // between colA and colB — the g3-style error of the OD X: A ~ B (the receiver
 // being Π*X). Within each class the largest swap-free subset is the longest
 // non-decreasing subsequence of B-ranks once the class is ordered by (A, B);
-// the class is sorted with the scratch radix sort and the subsequence found
-// by patience sorting, so the whole computation is allocation-free on a warm
-// scratch. A nil scratch allocates one.
+// unlike the swap checks it needs B ascending within A-ties, so the class is
+// sorted with the scratch radix sort on the packed (A, B) key and the
+// subsequence found by patience sorting. The whole computation is
+// allocation-free on a warm scratch. A nil scratch allocates one.
 func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
 	if s == nil {
 		s = NewScratch()
@@ -168,17 +176,10 @@ func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
 
 // sortClassByRanks loads the class's (A-rank, B-rank, row) triples into the
 // scratch key buffers and sorts them by (A, B) ascending, returning the
-// sorted keys and the rows permuted in lockstep. The buffers are valid until
-// the next scratch call.
+// sorted pairKeys and the rows permuted in lockstep. The buffers are valid
+// until the next scratch call.
 func (s *Scratch) sortClassByRanks(cls []int32, colA, colB []int32) (keys []uint64, rows []int32) {
-	k := len(cls)
-	if cap(s.keys) < k {
-		n := keyBufCap(cap(s.keys), k)
-		s.keys = make([]uint64, n)
-		s.keyRows = make([]int32, n)
-	}
-	keys = s.keys[:k]
-	rows = s.keyRows[:k]
+	keys, rows = s.keyBufs(len(cls))
 	var maxKey uint64
 	for j, row := range cls {
 		key := pairKey(colA[row], colB[row])
@@ -189,6 +190,38 @@ func (s *Scratch) sortClassByRanks(cls []int32, colA, colB []int32) (keys []uint
 		}
 	}
 	s.sortKeysRows(keys, rows, maxKey)
+	return keys, rows
+}
+
+// sortClassByA is sortClassByRanks keyed on the A-rank alone: the returned
+// keys are the A-ranks, ascending, and rows tied on A keep their class order
+// (the sort is stable). The narrower key lets the radix sort stop after the
+// digits of the largest A-rank.
+func (s *Scratch) sortClassByA(cls []int32, colA []int32) (keys []uint64, rows []int32) {
+	keys, rows = s.keyBufs(len(cls))
+	var maxKey uint64
+	for j, row := range cls {
+		key := uint64(uint32(colA[row]))
+		keys[j] = key
+		rows[j] = row
+		if key > maxKey {
+			maxKey = key
+		}
+	}
+	s.sortKeysRows(keys, rows, maxKey)
+	return keys, rows
+}
+
+// keyBufs returns the scratch key and row buffers resliced to length k,
+// growing them if needed; the caller fills both.
+func (s *Scratch) keyBufs(k int) (keys []uint64, rows []int32) {
+	if cap(s.keys) < k {
+		n := keyBufCap(cap(s.keys), k)
+		s.keys = make([]uint64, n)
+		s.keyRows = make([]int32, n)
+	}
+	keys = s.keys[:k]
+	rows = s.keyRows[:k]
 	return keys, rows
 }
 

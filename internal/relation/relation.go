@@ -172,6 +172,10 @@ type Encoded struct {
 	// Values[col][row] is the rank of the value of attribute col in tuple row.
 	Values [][]int32
 	// Cardinality[col] is the number of distinct values in attribute col.
+	// Ranks are always non-negative. On an encoding they are dense, 0 to
+	// Cardinality-1; on a row view (HeadRows, SelectRows) they keep the
+	// parent's values and may exceed Cardinality-1, so code that needs the
+	// largest rank must scan the column rather than use Cardinality-1.
 	Cardinality []int
 	rows        int
 }
