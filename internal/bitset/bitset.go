@@ -7,7 +7,6 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -78,6 +77,17 @@ func (s AttrSet) Attrs() []int {
 	}
 	return out
 }
+
+// Min returns the smallest attribute in the set, or -1 if the set is empty.
+func (s AttrSet) Min() int {
+	if s == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(uint64(s))
+}
+
+// Max returns the largest attribute in the set, or -1 if the set is empty.
+func (s AttrSet) Max() int { return bits.Len64(uint64(s)) - 1 }
 
 // ForEach calls fn for every attribute in ascending order.
 func (s AttrSet) ForEach(fn func(a int)) {
@@ -172,76 +182,87 @@ func (p Pair) AsSet() AttrSet { return NewAttrSet(p.A, p.B) }
 // String renders the pair like (1,3).
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.A, p.B) }
 
-// PairSet is a set of unordered attribute pairs. It backs the C+s(X)
-// candidate sets in FASTOD. The zero value is an empty set ready for use
-// after a call to NewPairSet; use NewPairSet to construct.
+// PairSet is a set of unordered attribute pairs, stored as a triangular bit
+// matrix: row A holds every B > A with {A,B} in the set. It backs the C+s(X)
+// candidate sets in FASTOD. PairSet is a plain value with no pointers, so
+// copying it copies the set; the zero value is the empty set. Every operation
+// visits only the non-empty rows.
 type PairSet struct {
-	pairs map[Pair]struct{}
+	rows [MaxAttrs]AttrSet
+	live AttrSet // a ∈ live iff rows[a] is non-empty
 }
 
-// NewPairSet returns an empty pair set.
-func NewPairSet() *PairSet {
-	return &PairSet{pairs: make(map[Pair]struct{})}
+// PairsWithin returns every pair of distinct attributes of x.
+func PairsWithin(x AttrSet) PairSet {
+	var ps PairSet
+	x.ForEach(func(a int) {
+		ps.setRow(a, x&^(1<<uint(a+1)-1))
+	})
+	return ps
+}
+
+// setRow stores row a and keeps live in step with it.
+func (ps *PairSet) setRow(a int, row AttrSet) {
+	ps.rows[a] = row
+	if row.IsEmpty() {
+		ps.live = ps.live.Remove(a)
+	} else {
+		ps.live = ps.live.Add(a)
+	}
 }
 
 // Add inserts the pair into the set.
-func (ps *PairSet) Add(p Pair) { ps.pairs[p] = struct{}{} }
+func (ps *PairSet) Add(p Pair) { ps.setRow(p.A, ps.rows[p.A].Add(p.B)) }
 
 // Remove deletes the pair from the set. Removing an absent pair is a no-op.
-func (ps *PairSet) Remove(p Pair) { delete(ps.pairs, p) }
+func (ps *PairSet) Remove(p Pair) { ps.setRow(p.A, ps.rows[p.A].Remove(p.B)) }
 
 // Contains reports whether the pair is in the set.
-func (ps *PairSet) Contains(p Pair) bool {
-	_, ok := ps.pairs[p]
-	return ok
-}
+func (ps *PairSet) Contains(p Pair) bool { return ps.rows[p.A].Contains(p.B) }
 
 // Len returns the number of pairs in the set.
-func (ps *PairSet) Len() int { return len(ps.pairs) }
+func (ps *PairSet) Len() int {
+	n := 0
+	ps.live.ForEach(func(a int) { n += ps.rows[a].Len() })
+	return n
+}
 
 // IsEmpty reports whether the set has no pairs.
-func (ps *PairSet) IsEmpty() bool { return len(ps.pairs) == 0 }
+func (ps *PairSet) IsEmpty() bool { return ps.live.IsEmpty() }
 
-// Pairs returns the pairs sorted by (A,B) for deterministic iteration.
-func (ps *PairSet) Pairs() []Pair {
-	out := make([]Pair, 0, len(ps.pairs))
-	for p := range ps.pairs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+// ForEach calls fn for every pair in (A,B) order. fn may remove the pair it is
+// given, and any pair already visited, without disturbing the iteration.
+func (ps *PairSet) ForEach(fn func(p Pair)) {
+	ps.live.ForEach(func(a int) {
+		for v := uint64(ps.rows[a]); v != 0; v &= v - 1 {
+			fn(Pair{A: a, B: bits.TrailingZeros64(v)})
 		}
-		return out[i].B < out[j].B
 	})
+}
+
+// Union returns the pairs present in either set.
+func (ps *PairSet) Union(other *PairSet) PairSet {
+	out := *ps
+	other.live.ForEach(func(a int) { out.setRow(a, out.rows[a]|other.rows[a]) })
 	return out
 }
 
-// Clone returns an independent copy of the set.
-func (ps *PairSet) Clone() *PairSet {
-	out := NewPairSet()
-	for p := range ps.pairs {
-		out.pairs[p] = struct{}{}
-	}
+// Intersect returns the pairs present in both sets.
+func (ps *PairSet) Intersect(other *PairSet) PairSet {
+	out := *ps
+	ps.live.ForEach(func(a int) { out.setRow(a, out.rows[a]&other.rows[a]) })
 	return out
 }
 
-// Intersect returns a new set containing pairs present in both sets.
-func (ps *PairSet) Intersect(other *PairSet) *PairSet {
-	out := NewPairSet()
-	for p := range ps.pairs {
-		if other.Contains(p) {
-			out.pairs[p] = struct{}{}
-		}
-	}
-	return out
-}
-
-// Union returns a new set containing pairs present in either set.
-func (ps *PairSet) Union(other *PairSet) *PairSet {
-	out := ps.Clone()
-	for p := range other.pairs {
-		out.pairs[p] = struct{}{}
-	}
-	return out
+// IntersectExcept removes every pair that is absent from other and does not
+// contain attribute d: ps becomes ps ∩ (other ∪ {p : d ∈ p}). It is one word
+// operation per non-empty row.
+func (ps *PairSet) IntersectExcept(other *PairSet, d int) {
+	checkIndex(d)
+	// Row a < d keeps its pair (a,d) through bit; no row a > d holds d, and
+	// row d holds only pairs containing d, so it is left as it is.
+	bit := AttrSet(1) << uint(d)
+	ps.live.Remove(d).ForEach(func(a int) {
+		ps.setRow(a, ps.rows[a]&(other.rows[a]|bit))
+	})
 }

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -132,9 +133,9 @@ func TestPairPanicsOnEqualAttrs(t *testing.T) {
 }
 
 func TestPairSetBasics(t *testing.T) {
-	ps := NewPairSet()
+	var ps PairSet
 	if !ps.IsEmpty() {
-		t.Fatal("new pair set should be empty")
+		t.Fatal("zero pair set should be empty")
 	}
 	ps.Add(NewPair(0, 1))
 	ps.Add(NewPair(1, 0)) // same pair, normalized
@@ -152,38 +153,202 @@ func TestPairSetBasics(t *testing.T) {
 }
 
 func TestPairSetSetOps(t *testing.T) {
-	a := NewPairSet()
+	var a, b PairSet
 	a.Add(NewPair(0, 1))
 	a.Add(NewPair(0, 2))
-	b := NewPairSet()
 	b.Add(NewPair(0, 2))
 	b.Add(NewPair(1, 2))
 
-	inter := a.Intersect(b)
+	inter := a.Intersect(&b)
 	if inter.Len() != 1 || !inter.Contains(NewPair(0, 2)) {
-		t.Errorf("Intersect = %v", inter.Pairs())
+		t.Errorf("Intersect = %v", pairsOf(&inter))
 	}
-	uni := a.Union(b)
+	uni := a.Union(&b)
 	if uni.Len() != 3 {
 		t.Errorf("Union len = %d, want 3", uni.Len())
 	}
-	clone := a.Clone()
+	clone := a
 	clone.Remove(NewPair(0, 1))
 	if !a.Contains(NewPair(0, 1)) {
-		t.Error("Clone is not independent of the original")
+		t.Error("a copy is not independent of the original")
+	}
+
+	within := PairsWithin(NewAttrSet(1, 4, 63))
+	if got, want := pairsOf(&within), []Pair{{1, 4}, {1, 63}, {4, 63}}; !equalPairs(got, want) {
+		t.Errorf("PairsWithin = %v, want %v", got, want)
+	}
+	// IntersectExcept keeps the pairs of b and those touching attribute 0.
+	within = PairsWithin(NewAttrSet(0, 1, 2))
+	within.IntersectExcept(&b, 0)
+	if got, want := pairsOf(&within), []Pair{{0, 1}, {0, 2}, {1, 2}}; !equalPairs(got, want) {
+		t.Errorf("IntersectExcept(b, 0) = %v, want %v", got, want)
+	}
+	within.IntersectExcept(&a, 2)
+	if got, want := pairsOf(&within), []Pair{{0, 1}, {0, 2}, {1, 2}}; !equalPairs(got, want) {
+		t.Errorf("IntersectExcept(a, 2) = %v, want %v", got, want)
+	}
+	within.IntersectExcept(&a, 1)
+	if got, want := pairsOf(&within), []Pair{{0, 1}, {0, 2}, {1, 2}}; !equalPairs(got, want) {
+		t.Errorf("IntersectExcept(a, 1) = %v, want %v", got, want)
+	}
+	within.IntersectExcept(&PairSet{}, 1)
+	if got, want := pairsOf(&within), []Pair{{0, 1}, {1, 2}}; !equalPairs(got, want) {
+		t.Errorf("IntersectExcept(∅, 1) = %v, want %v", got, want)
 	}
 }
 
 func TestPairSetPairsSorted(t *testing.T) {
-	ps := NewPairSet()
+	var ps PairSet
 	ps.Add(NewPair(3, 1))
 	ps.Add(NewPair(0, 2))
 	ps.Add(NewPair(0, 1))
-	got := ps.Pairs()
-	want := []Pair{{0, 1}, {0, 2}, {1, 3}}
+	ps.Add(NewPair(63, 62))
+	got := pairsOf(&ps)
+	want := []Pair{{0, 1}, {0, 2}, {1, 3}, {62, 63}}
+	if !equalPairs(got, want) {
+		t.Fatalf("ForEach order = %v, want %v", got, want)
+	}
+	// Removing the visited pair mid-iteration neither skips nor repeats one.
+	var seen []Pair
+	ps.ForEach(func(p Pair) {
+		seen = append(seen, p)
+		ps.Remove(p)
+	})
+	if !equalPairs(seen, want) || !ps.IsEmpty() {
+		t.Fatalf("ForEach with removal visited %v, left %d pairs", seen, ps.Len())
+	}
+}
+
+// Model-based property: random operation sequences on a PairSet agree with a
+// map[Pair]bool model on every observation. The attribute pool includes the
+// word edges 0, 62 and 63, so an off-by-one in a row mask or shift fails.
+func TestPairSetModelQuick(t *testing.T) {
+	pool := []int{0, 1, 2, 5, 31, 32, 33, 61, 62, 63}
+	rng := rand.New(rand.NewSource(13))
+	randPair := func() Pair {
+		a := pool[rng.Intn(len(pool))]
+		b := pool[rng.Intn(len(pool))]
+		for b == a {
+			b = pool[rng.Intn(len(pool))]
+		}
+		return NewPair(a, b)
+	}
+	randSet := func() (PairSet, map[Pair]bool) {
+		var ps PairSet
+		m := make(map[Pair]bool)
+		for n := rng.Intn(12); n > 0; n-- {
+			p := randPair()
+			ps.Add(p)
+			m[p] = true
+		}
+		return ps, m
+	}
+	check := func(step int, op string, ps *PairSet, model map[Pair]bool) {
+		t.Helper()
+		var want []Pair
+		for p := range model {
+			want = append(want, p)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].A != want[j].A {
+				return want[i].A < want[j].A
+			}
+			return want[i].B < want[j].B
+		})
+		if got := pairsOf(ps); !equalPairs(got, want) {
+			t.Fatalf("step %d (%s): pairs = %v, model %v", step, op, got, want)
+		}
+		if ps.Len() != len(model) || ps.IsEmpty() != (len(model) == 0) {
+			t.Fatalf("step %d (%s): Len %d IsEmpty %v, model has %d", step, op, ps.Len(), ps.IsEmpty(), len(model))
+		}
+		for _, a := range pool {
+			for _, b := range pool {
+				if a < b && ps.Contains(Pair{a, b}) != model[Pair{a, b}] {
+					t.Fatalf("step %d (%s): Contains(%d,%d) = %v, model %v", step, op, a, b, !model[Pair{a, b}], model[Pair{a, b}])
+				}
+			}
+		}
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		var ps PairSet
+		model := make(map[Pair]bool)
+		for step := 0; step < 40; step++ {
+			var op string
+			switch rng.Intn(5) {
+			case 0, 1:
+				op = "Add"
+				p := randPair()
+				ps.Add(p)
+				model[p] = true
+			case 2:
+				op = "Remove"
+				p := randPair()
+				ps.Remove(p)
+				delete(model, p)
+			case 3:
+				op = "Union"
+				other, om := randSet()
+				ps = ps.Union(&other)
+				for p := range om {
+					model[p] = true
+				}
+			case 4:
+				op = "Intersect"
+				other, om := randSet()
+				for p := range model {
+					if !om[p] {
+						delete(model, p)
+					}
+				}
+				// Seed the other set with pairs already present so an
+				// intersection does not almost always empty the set.
+				ps.ForEach(func(p Pair) {
+					if rng.Intn(2) == 0 {
+						other.Add(p)
+						om[p] = true
+						model[p] = true
+					}
+				})
+				ps = ps.Intersect(&other)
+			}
+			check(step, op, &ps, model)
+		}
+	}
+}
+
+// pairsOf collects the pairs of ps in ForEach order.
+func pairsOf(ps *PairSet) []Pair {
+	var out []Pair
+	ps.ForEach(func(p Pair) { out = append(out, p) })
+	return out
+}
+
+func equalPairs(got, want []Pair) bool {
+	if len(got) != len(want) {
+		return false
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Pairs = %v, want %v", got, want)
+			return false
+		}
+	}
+	return true
+}
+
+func TestAttrSetMinMax(t *testing.T) {
+	for _, tc := range []struct {
+		s        AttrSet
+		min, max int
+	}{
+		{0, -1, -1},
+		{NewAttrSet(0), 0, 0},
+		{NewAttrSet(63), 63, 63},
+		{NewAttrSet(2, 7, 40), 2, 40},
+		{NewAttrSet(0, 62, 63), 0, 63},
+	} {
+		if tc.s.Min() != tc.min || tc.s.Max() != tc.max {
+			t.Errorf("%v: Min/Max = %d/%d, want %d/%d", tc.s, tc.s.Min(), tc.s.Max(), tc.min, tc.max)
 		}
 	}
 }

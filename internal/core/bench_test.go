@@ -35,6 +35,24 @@ func BenchmarkDiscoverFlight1Kx10(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscoverDBTesmaWide runs the wide shape: dbtesma-like data keeps
+// most lattice nodes alive for many levels, so the candidate sets, lattice
+// bookkeeping and GC dominate rather than the partition kernels that the
+// flight-like benchmarks exercise.
+func BenchmarkDiscoverDBTesmaWide(b *testing.B) {
+	enc, err := relation.Encode(datagen.DBTesmaLike(1000, 13, 2017))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Discover(enc, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDiscoverRowsScaling tracks the sequential-vs-parallel trajectory
 // of the engine as the row count grows: each size runs with Workers=1 (the
 // sequential path) and Workers=4 (the sharded level-parallel path). On a

@@ -100,7 +100,7 @@ type discoverer struct {
 // Algorithm 3 reads from the immediate subsets of each node it processes.
 type nodeState struct {
 	cc bitset.AttrSet
-	cs *bitset.PairSet
+	cs bitset.PairSet
 }
 
 func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*discoverer, error) {
@@ -185,7 +185,7 @@ func (d *discoverer) finish() {
 // run executes FASTOD with the full candidate-set machinery (Algorithms 1-4).
 // The root state seeds every singleton with C+c(∅) = R and C+s(∅) = ∅.
 func (d *discoverer) run() {
-	root := &nodeState{cc: d.all, cs: bitset.NewPairSet()}
+	root := &nodeState{cc: d.all}
 	d.eng.RunNodes(root, d.visitNode)
 	d.finish()
 }
@@ -204,60 +204,28 @@ func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bo
 	prev := func(a int) *nodeState { return deps[x.Rank(a)].(*nodeState) }
 
 	// Pass 1 (lines 1-8): candidate sets from the immediate subsets.
-	cc := d.all
-	x.ForEach(func(a int) {
-		cc = cc.Intersect(prev(a).cc)
-	})
-	var cs *bitset.PairSet
-	switch {
-	case l == 2:
-		attrs := x.Attrs()
-		cs = bitset.NewPairSet()
-		cs.Add(bitset.NewPair(attrs[0], attrs[1]))
-	case l > 2:
-		union := bitset.NewPairSet()
-		x.ForEach(func(c int) {
-			union = union.Union(prev(c).cs)
-		})
-		cs = bitset.NewPairSet()
-		for _, p := range union.Pairs() {
-			keep := true
-			x.Diff(p.AsSet()).ForEach(func(dAttr int) {
-				if !keep {
-					return
-				}
-				if !prev(dAttr).cs.Contains(p) {
-					keep = false
-				}
-			})
-			if keep {
-				cs.Add(p)
-			}
-		}
-	default:
-		cs = bitset.NewPairSet()
-	}
+	st := candidates(d.all, x, deps)
 
 	// Pass 2 (lines 9-25): validation and emission.
 	var buf emitBuffer
 
 	// Constancy candidates X\A: [] ↦ A for A ∈ X ∩ C+c(X) (Lemma 7).
-	for _, a := range x.Intersect(cc).Attrs() {
+	x.Intersect(st.cc).ForEach(func(a int) {
 		ctx := x.Remove(a)
 		if d.checkConstancy(ctx, x, sh) {
 			d.bufferOD(&buf, canonical.NewConstancy(ctx, a))
-			cc = cc.Remove(a)
-			cc = cc.Intersect(x) // remove all B ∈ R \ X (line 14)
+			st.cc = st.cc.Remove(a)
+			st.cc = st.cc.Intersect(x) // remove all B ∈ R \ X (line 14)
 		}
-	}
+	})
 
 	// Order-compatibility candidates X\{A,B}: A ~ B for {A,B} ∈ C+s(X)
 	// (Lemma 8).
-	for _, p := range cs.Pairs() {
+	st.cs.ForEach(func(p bitset.Pair) {
 		a, b := p.A, p.B
 		if !prev(b).cc.Contains(a) || !prev(a).cc.Contains(b) {
-			cs.Remove(p) // line 19: constancy in a sub-context makes it non-minimal
-			continue
+			st.cs.Remove(p) // line 19: constancy in a sub-context makes it non-minimal
+			return
 		}
 		ctx := x.Remove(a).Remove(b)
 		valid, minimal := d.checkOrderCompat(ctx, a, b, sh, d.eng.Scratch(wk))
@@ -265,13 +233,31 @@ func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bo
 			if minimal {
 				d.bufferOD(&buf, canonical.NewOrderCompatible(ctx, a, b))
 			}
-			cs.Remove(p) // line 22
+			st.cs.Remove(p) // line 22
 		}
-	}
+	})
 
-	pruned := l >= 2 && !d.opts.DisableNodePruning && cc.IsEmpty() && cs.IsEmpty()
+	pruned := l >= 2 && !d.opts.DisableNodePruning && st.cc.IsEmpty() && st.cs.IsEmpty()
 	d.flushNode(l, &buf, pruned)
-	return &nodeState{cc: cc, cs: cs}, pruned
+	return st, pruned
+}
+
+// candidates is Pass 1 of Algorithm 3 (lines 1-8): it derives C+c(X) and
+// C+s(X) from the states of X's immediate subsets, deps ordered by ascending
+// removed attribute. Lines 5-8 keep {A,B} ⊆ X only if it is in C+s(X\{D}) for
+// every D ∈ X\{A,B}; since C+s(X\{D}) holds only pairs inside X\{D}, that is
+// one word-parallel intersection per D of C+s(X\{D}) ∪ {pairs containing D}.
+// The same formula yields {{A,B}} at level 2 and ∅ at level 1.
+func candidates(all, x bitset.AttrSet, deps []any) *nodeState {
+	st := &nodeState{cc: all, cs: bitset.PairsWithin(x)}
+	i := 0
+	x.ForEach(func(a int) {
+		sub := deps[i].(*nodeState)
+		st.cc = st.cc.Intersect(sub.cc)
+		st.cs.IntersectExcept(&sub.cs, a)
+		i++
+	})
+	return st
 }
 
 // checkConstancy validates X\A: [] ↦ A using the partition-error criterion of

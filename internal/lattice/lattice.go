@@ -443,8 +443,7 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 	// attribute. Sorting the block members keeps generation deterministic.
 	blocks := make(map[bitset.AttrSet][]int)
 	for _, x := range level {
-		attrs := x.Attrs()
-		last := attrs[len(attrs)-1]
+		last := x.Max()
 		prefix := x.Remove(last)
 		blocks[prefix] = append(blocks[prefix], last)
 	}

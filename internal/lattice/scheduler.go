@@ -455,16 +455,16 @@ func (r *dagRun) exec(wk int, t *nodeTask) {
 	p, ok := r.lookupStore(t.x)
 	if !ok {
 		if t.level == 1 {
-			a := t.x.Attrs()[0]
+			a := t.x.Min()
 			p = partition.FromColumn(e.enc.Column(a), e.enc.Cardinality[a])
 		} else {
 			// Same generator convention as the barrier path's prefix join:
 			// the product of x minus its largest attribute with x minus its
 			// second-largest. Both completed before x became runnable, and
 			// their partitions stay in the window until x's level is done.
-			attrs := t.x.Attrs()
-			left := e.dagParts.get(t.x.Remove(attrs[len(attrs)-1]))
-			right := e.dagParts.get(t.x.Remove(attrs[len(attrs)-2]))
+			leftX := t.x.Remove(t.x.Max())
+			left := e.dagParts.get(leftX)
+			right := e.dagParts.get(t.x.Remove(leftX.Max()))
 			faultinject.Hit(faultinject.PartitionProduct)
 			p = left.ProductWith(right, e.scratch[wk])
 		}
