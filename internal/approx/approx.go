@@ -49,11 +49,11 @@ func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, er
 	if ctx.Contains(a) {
 		return Error{}, nil // trivial
 	}
-	s := partition.NewScratch()
-	p, err := contextPartition(enc, ctx, s)
-	if err != nil {
+	if err := checkContext(enc, ctx); err != nil {
 		return Error{}, err
 	}
+	s := partition.NewScratch()
+	p := canonical.ContextPartitionWith(enc, ctx, s)
 	return newError(p.ConstancyRemovals(enc.Column(a), s), enc.NumRows()), nil
 }
 
@@ -73,11 +73,11 @@ func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Erro
 	if a == b || ctx.Contains(a) || ctx.Contains(b) {
 		return Error{}, nil // trivial
 	}
-	s := partition.NewScratch()
-	p, err := contextPartition(enc, ctx, s)
-	if err != nil {
+	if err := checkContext(enc, ctx); err != nil {
 		return Error{}, err
 	}
+	s := partition.NewScratch()
+	p := canonical.ContextPartitionWith(enc, ctx, s)
 	return newError(p.SwapRemovals(enc.Column(a), enc.Column(b), s), enc.NumRows()), nil
 }
 
@@ -89,17 +89,13 @@ func newError(removals, rows int) Error {
 	return e
 }
 
-func contextPartition(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) (*partition.Partition, error) {
+func checkContext(enc *relation.Encoded, ctx bitset.AttrSet) error {
 	for _, a := range ctx.Attrs() {
 		if err := checkAttr(enc, a); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	p := partition.FromConstant(enc.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
-	})
-	return p, nil
+	return nil
 }
 
 func checkAttr(enc *relation.Encoded, a int) error {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/lattice"
-	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -227,7 +226,7 @@ func (od OD) Holds(enc *relation.Encoded) (bool, error) {
 	if od.IsTrivial() {
 		return true, nil
 	}
-	ctx := contextPartition(enc, od.Context)
+	ctx := canonical.ContextPartition(enc, od.Context)
 	switch od.Kind {
 	case canonical.Constancy:
 		return ctx.ConstantInClasses(enc.Column(od.A)), nil
@@ -259,15 +258,6 @@ func reverseRanks(col []int32) []int32 {
 		out[i] = top - v
 	}
 	return out
-}
-
-func contextPartition(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
-	s := partition.NewScratch()
-	p := partition.FromConstant(enc.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
-	})
-	return p
 }
 
 func checkAttrs(enc *relation.Encoded, od OD) error {

@@ -71,7 +71,7 @@ func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
 	if od.IsTrivial() {
 		return Violation{}, false, nil
 	}
-	ctx := ContextPartition(enc, od.Context)
+	ctx := witnessContext(enc, od.Context)
 	switch od.Kind {
 	case Constancy:
 		if w, ok := ctx.FindSplit(enc.Column(od.A)); ok {
@@ -86,23 +86,42 @@ func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
 }
 
 // ContextPartition computes the stripped partition of the relation with
-// respect to the attribute set ctx by multiplying single-attribute partitions.
-// The empty context yields the single-class partition.
+// respect to the attribute set ctx by refining the single-class partition by
+// each attribute's rank column in turn. The empty context yields the
+// single-class partition.
 func ContextPartition(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
-	return contextPartitionWith(enc, ctx, nil)
+	return ContextPartitionWith(enc, ctx, nil)
 }
 
-// contextPartitionWith is ContextPartition reusing a scratch workspace across
-// the product chain (and across calls, for loops like ReferenceDiscover).
-func contextPartitionWith(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) *partition.Partition {
+// ContextPartitionWith is ContextPartition reusing a scratch workspace across
+// the refinement chain (and across calls, for loops like ReferenceDiscover).
+// A nil scratch allocates one for the call.
+func ContextPartitionWith(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) *partition.Partition {
 	if s == nil {
 		s = partition.NewScratch()
 	}
 	p := partition.FromConstant(enc.NumRows())
 	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
+		p = p.RefineWith(enc.Column(a), s)
 	})
 	return p
+}
+
+// witnessContext is the context partition FindViolation draws its witness
+// from. The witness comes from the first violating class, with classes
+// ordered by (rank of the largest context attribute, first row), so that a
+// given OD and instance always name the same pair. The refinement chain of
+// ContextPartition orders classes by first appearance instead, so the largest
+// attribute is applied last as a product with its column partition, which
+// emits classes in exactly that order.
+func witnessContext(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
+	if ctx.IsEmpty() {
+		return partition.FromConstant(enc.NumRows())
+	}
+	last := ctx.Max()
+	s := partition.NewScratch()
+	return ContextPartitionWith(enc, ctx.Remove(last), s).
+		ProductWith(partition.FromColumn(enc.Column(last), enc.Cardinality[last]), s)
 }
 
 func checkAttrs(enc *relation.Encoded, od OD) error {
@@ -157,7 +176,7 @@ func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 	scratch := partition.NewScratch()
 	contexts := allSubsets(n)
 	for _, ctx := range contexts {
-		p := contextPartitionWith(enc, ctx, scratch)
+		p := ContextPartitionWith(enc, ctx, scratch)
 		cm := make(map[int]bool)
 		om := make(map[pairKey]bool)
 		for a := 0; a < n; a++ {

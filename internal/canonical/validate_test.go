@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/listod"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -252,6 +253,70 @@ func TestReferenceDiscoverExactness(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFindViolationWitnessOrder pins FindViolation's witnesses to the ones
+// drawn from the product chain Π(a1)·Π(a2)·… in ascending attribute order,
+// whose classes come in (rank of the largest attribute, first row) order, for
+// every OD with a context of up to three attributes.
+func TestFindViolationWitnessOrder(t *testing.T) {
+	for _, rel := range []*relation.Relation{datagen.FlightLike(300, 6, 9), randomRelation(t, 4, 120, 6)} {
+		enc, err := relation.Encode(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := func(ctx bitset.AttrSet) *partition.Partition {
+			p := partition.FromConstant(enc.NumRows())
+			ctx.ForEach(func(a int) {
+				p = partition.Product(p, partition.FromColumn(enc.Column(a), enc.Cardinality[a]))
+			})
+			return p
+		}
+		n := enc.NumCols()
+		witnesses := 0
+		for ctx := bitset.AttrSet(0); ctx < 1<<n; ctx++ {
+			if ctx.Len() > 3 {
+				continue
+			}
+			p := chain(ctx)
+			for a := 0; a < n; a++ {
+				if ctx.Contains(a) {
+					continue
+				}
+				var ods []OD
+				ods = append(ods, NewConstancy(ctx, a))
+				for b := a + 1; b < n; b++ {
+					if !ctx.Contains(b) {
+						ods = append(ods, NewOrderCompatible(ctx, a, b))
+					}
+				}
+				for _, od := range ods {
+					var want Violation
+					var wantFound bool
+					if od.Kind == Constancy {
+						w, ok := p.FindSplit(enc.Column(od.A))
+						want, wantFound = Violation{OD: od, RowS: w.RowS, RowT: w.RowT}, ok
+					} else {
+						w, ok := p.FindSwap(enc.Column(od.A), enc.Column(od.B))
+						want, wantFound = Violation{OD: od, RowS: w.RowS, RowT: w.RowT, IsSwap: true}, ok
+					}
+					got, found, err := FindViolation(enc, od)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if found != wantFound || (found && got != want) {
+						t.Fatalf("%v: FindViolation = %v (found %v), product-chain witness = %v (found %v)", od, got, found, want, wantFound)
+					}
+					if found {
+						witnesses++
+					}
+				}
+			}
+		}
+		if witnesses < 100 {
+			t.Fatalf("only %d violated ODs; the relation pins too few witnesses", witnesses)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // discovery engine and the odserve service.
 //
 // Production code calls Fire (or Hit) at named injection points threaded
-// into the hot paths: partition products, partition-store lookups and
+// into the hot paths: partition derivation, partition-store lookups and
 // evictions, DAG node dispatch and stealing, CSV decoding and SSE writes.
 // When no plan is armed — the production state — Fire is a single atomic
 // pointer load that returns nil; no locks, no allocation, no time reads.
@@ -29,8 +29,10 @@ type Point string
 
 // Canonical injection points. Keep in sync with the chaos suite sweep.
 const (
-	// PartitionProduct fires before a stripped-partition product is
-	// computed for a lattice node (both schedulers).
+	// PartitionProduct fires before a lattice node's stripped partition is
+	// derived — its smallest immediate subset refined by one rank column,
+	// Π(X) = Π(X\{A})·Π(A) — under both schedulers. The name predates the
+	// refinement kernel and is kept so existing fault plans stay valid.
 	PartitionProduct Point = "partition.product"
 	// StoreGet fires inside PartitionStore.Get before the lookup.
 	StoreGet Point = "store.get"

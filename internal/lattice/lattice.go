@@ -6,12 +6,14 @@
 //
 // The Engine factors out what those traversals have in common — singleton
 // seeding, prefix-block joins for the next level (Algorithm 2 of the paper),
-// partition products, the bounded per-level partition retention window, and a
-// chunked parallel executor — while each algorithm keeps ownership of its
-// candidate-set bookkeeping, validation and pruning inside a per-level visit
-// callback. A shared PartitionStore memoizes stripped partitions across runs
-// (e.g. the pruned and un-pruned FASTOD passes of Figure 6, or repeated
-// Discover calls behind the advisor) under a configurable memory bound.
+// partition derivation (each node refines its smallest immediate subset's
+// partition by one rank column), the bounded per-level partition retention
+// window, and a chunked parallel executor — while each algorithm keeps
+// ownership of its candidate-set bookkeeping, validation and pruning inside a
+// per-level visit callback. A shared PartitionStore memoizes stripped
+// partitions across runs (e.g. the pruned and un-pruned FASTOD passes of
+// Figure 6, or repeated Discover calls behind the advisor) under a
+// configurable memory bound.
 package lattice
 
 import (
@@ -119,7 +121,7 @@ type Engine struct {
 	numAttrs int
 	all      bitset.AttrSet
 
-	// scratch holds one partition-product workspace per worker, reused across
+	// scratch holds one partition-kernel workspace per worker, reused across
 	// all levels of the run.
 	scratch []*partition.Scratch
 
@@ -302,7 +304,8 @@ func (e *Engine) ParallelFor(n int, fn func(worker, item int)) {
 // unchanged to keep everything), and Run generates the next level by joining
 // prefix blocks of the survivors, keeping only candidates whose every
 // immediate subset survived, and deriving each new node's partition (from the
-// store when shared, as a parallel partition product otherwise).
+// store when shared, by a parallel refinement of its smallest immediate
+// subset's partition otherwise; see derive).
 //
 // Cancellation and budget signals interrupt the traversal cooperatively: at
 // every level barrier and — via the engine's ParallelFor — between chunk
@@ -339,13 +342,13 @@ func (e *Engine) Run(visit func(level int, nodes []bitset.AttrSet) []bitset.Attr
 			break
 		}
 		if e.maxLevel > 0 && l == e.maxLevel {
-			// The loop is about to terminate; don't pay for the partition
-			// products of a level that will never be visited.
+			// The loop is about to terminate; don't pay for the partitions
+			// of a level that will never be visited.
 			level = nil
 		} else {
 			level = e.nextLevel(kept, l)
 			if e.stopped() {
-				// Some products of the next level were never computed; the
+				// Some partitions of the next level were never derived; the
 				// level must not be visited.
 				e.stats.Interrupted = true
 				e.finishLevel(l, nodes, start)
@@ -425,12 +428,12 @@ func (e *Engine) firstLevel() []bitset.AttrSet {
 // nextLevel is Algorithm 2 of the paper: it joins pairs of surviving nodes
 // that share all but one attribute (prefix blocks), keeps only candidates
 // whose every immediate subset survived, and derives the new nodes'
-// partitions. Join enumeration is sequential (cheap bit-set work); the
-// partition products — the dominant cost of level generation — run in
-// parallel, each worker reusing its own scratch buffer. The shared store is
-// probed store-first, during candidate enumeration itself: a hit skips the
-// product staging (no generator lookups, no join slot) entirely, so a warm
-// store reduces level generation to bit-set work plus map lookups.
+// partitions (derive). Join enumeration is sequential (cheap bit-set work);
+// the derivations — the dominant cost of level generation — run in parallel,
+// each worker reusing its own scratch buffer. The shared store is probed
+// store-first, during candidate enumeration itself: a hit skips the
+// derivation entirely, so a warm store reduces level generation to bit-set
+// work plus map lookups.
 func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 	if len(level) == 0 {
 		return nil
@@ -456,11 +459,9 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 	curParts := e.parts[l]
 	next := make([]bitset.AttrSet, 0)
 	partsArr := make([]*partition.Partition, 0)
-	type join struct{ left, right *partition.Partition }
-	// miss and joins run parallel to each other: joins[k] stages the product
-	// inputs for candidate index miss[k]. Store hits never occupy a slot.
+	// miss lists the candidate indexes the store did not hold; only those are
+	// derived.
 	miss := make([]int, 0)
-	joins := make([]join, 0)
 	for _, prefix := range prefixes {
 		members := blocks[prefix]
 		sort.Ints(members)
@@ -477,27 +478,26 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 					continue
 				}
 				miss = append(miss, len(next))
-				joins = append(joins, join{curParts[prefix.Add(b)], curParts[prefix.Add(c)]})
 				next = append(next, x)
 				partsArr = append(partsArr, nil)
 			}
 		}
 	}
 
+	parent := func(y bitset.AttrSet) *partition.Partition { return curParts[y] }
 	e.ParallelFor(len(miss), func(wk, k int) {
 		i := miss[k]
 		x := next[i]
-		// A panic inside the product (an invariant violation, or an injected
-		// fault) is recorded with the node it was computing, so the recovered
-		// stack names the offending attribute set; the worker-level trap would
-		// only know the goroutine.
+		// A panic inside the derivation (an invariant violation, or an
+		// injected fault) is recorded with the node it was computing, so the
+		// recovered stack names the offending attribute set; the worker-level
+		// trap would only know the goroutine.
 		defer func() {
 			if rec := recover(); rec != nil {
 				e.recordPanic(rec, x, true)
 			}
 		}()
-		faultinject.Hit(faultinject.PartitionProduct)
-		partsArr[i] = joins[k].left.ProductWith(joins[k].right, e.scratch[wk])
+		partsArr[i] = e.derive(x, parent, e.scratch[wk])
 	})
 	for _, i := range miss {
 		e.storePut(next[i], partsArr[i])
@@ -508,6 +508,26 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 	}
 	e.parts[l+1] = nextParts
 	return next
+}
+
+// derive computes the stripped partition of a level-l node x (l >= 2) from
+// its immediate subsets, using Π(X) = Π(X \ {A}) · Π(A) for any A in X: it
+// takes the immediate subset X \ {A} with the smallest stripped partition
+// and refines it by A's rank column, so the cost is linear in that smallest
+// Size(). Ties go to the largest A. Both schedulers derive every node through
+// this one rule, and a parent's Size does not depend on how it was derived,
+// so a given attribute set always gets the same partition, class order
+// included. parent must return the partition of every immediate subset of x.
+func (e *Engine) derive(x bitset.AttrSet, parent func(bitset.AttrSet) *partition.Partition, s *partition.Scratch) *partition.Partition {
+	var base *partition.Partition
+	refineBy := -1
+	x.ForEach(func(a int) {
+		if p := parent(x.Remove(a)); base == nil || p.Size() <= base.Size() {
+			base, refineBy = p, a
+		}
+	})
+	faultinject.Hit(faultinject.PartitionProduct)
+	return base.RefineWith(e.enc.Column(refineBy), s)
 }
 
 func allSubsetsPresent(x bitset.AttrSet, present map[bitset.AttrSet]bool) bool {

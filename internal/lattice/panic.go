@@ -46,7 +46,7 @@ func (e *PanicError) Error() string {
 
 // PanicContext renders a recovered panic value together with the lattice
 // node whose processing raised it. The invariant panics deep in
-// internal/partition (mismatched product relations) and internal/bitset
+// internal/partition (operands over different relations) and internal/bitset
 // (attribute index out of range) cannot name the node — those packages do
 // not know which attribute set is being processed — so the engine's recovery
 // paths attach it here, making recovered stacks actionable ("node {A,B,D}"

@@ -7,7 +7,7 @@ import (
 )
 
 // The per-level work of a lattice traversal — candidate-set derivation, OD/FD
-// validation and partition products — is embarrassingly parallel: every node
+// validation and partition derivation — is embarrassingly parallel: every node
 // of a level only reads state produced by previous levels. The engine
 // therefore shards each level's nodes across a small worker pool and its
 // clients merge per-worker results at a level barrier. All merge points are

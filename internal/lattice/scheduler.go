@@ -195,7 +195,7 @@ type nodeTask struct {
 // deques, the waiting-candidate counters, the level accounting — lives under
 // one central mutex with a sync.Cond for idle workers. A lock-free deque
 // would shave contention, but one handout costs tens of nanoseconds while the
-// median node costs tens of microseconds (a partition product plus
+// median node costs tens of microseconds (a partition refinement plus
 // validation), so the mutex is ~3 orders of magnitude below the work it
 // guards; the simplicity is worth far more than the cycles.
 type dagRun struct {
@@ -442,8 +442,8 @@ func (r *dagRun) lookupStore(x bitset.AttrSet) (*partition.Partition, bool) {
 }
 
 // exec derives the node's stripped partition (store-first: a hit skips the
-// product entirely), publishes it to the window, runs the visit and completes
-// the node.
+// derivation entirely), publishes it to the window, runs the visit and
+// completes the node.
 func (r *dagRun) exec(wk int, t *nodeTask) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -458,15 +458,10 @@ func (r *dagRun) exec(wk int, t *nodeTask) {
 			a := t.x.Min()
 			p = partition.FromColumn(e.enc.Column(a), e.enc.Cardinality[a])
 		} else {
-			// Same generator convention as the barrier path's prefix join:
-			// the product of x minus its largest attribute with x minus its
-			// second-largest. Both completed before x became runnable, and
-			// their partitions stay in the window until x's level is done.
-			leftX := t.x.Remove(t.x.Max())
-			left := e.dagParts.get(leftX)
-			right := e.dagParts.get(t.x.Remove(leftX.Max()))
-			faultinject.Hit(faultinject.PartitionProduct)
-			p = left.ProductWith(right, e.scratch[wk])
+			// The barrier path's derivation rule: every immediate subset of
+			// x completed before x became runnable, and their partitions stay
+			// in the window until x's level is done.
+			p = e.derive(t.x, e.dagParts.get, e.scratch[wk])
 		}
 		e.storePut(t.x, p)
 	}

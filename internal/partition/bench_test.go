@@ -118,3 +118,18 @@ func BenchmarkConstantInClasses(b *testing.B) {
 		ctx.ConstantInClasses(col)
 	}
 }
+
+func BenchmarkRefineWithScratch(b *testing.B) {
+	// The lattice's derivation: the same shape as BenchmarkProductWithScratch,
+	// but the right operand is colB itself rather than its partition.
+	colA, cardA := randomColumn(100_000, 100, 1)
+	colB, _ := randomColumn(100_000, 100, 2)
+	pa := FromColumn(colA, cardA)
+	s := NewScratch()
+	pa.RefineWith(colB, s) // warm the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pa.RefineWith(colB, s)
+	}
+}

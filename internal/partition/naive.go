@@ -24,8 +24,8 @@ func (p *Partition) HasSwapNaive(colA, colB []int32) bool {
 
 // ProductNaive computes the stripped partition product by direct map-based
 // grouping on (class-in-a, class-in-b) pairs, with classes ordered by their
-// first row. It is an independent oracle for the flat ProductWith kernel in
-// property tests; production code uses ProductWith.
+// first row. It is an independent oracle for the flat RefineWith and
+// ProductWith kernels in property tests; production code uses those.
 func ProductNaive(a, b *Partition) *Partition {
 	if a.NumRows != b.NumRows {
 		panic("partition: product over different relations")

@@ -7,6 +7,16 @@
 // rank-encoded columns (see package relation), so value comparisons are
 // integer comparisons.
 //
+// # Products as refinement
+//
+// Since Π(X ∪ {A}) = Π(X) · Π(A) and Π(A) is nothing but A's rank column,
+// the product the lattice needs is a refinement: RefineWith splits every
+// class of Π*X by the column. ProductWith, the general product of two
+// partitions, fills a row-to-class probe from its left operand and refines
+// the right operand's classes by that probe. Both run the package's one
+// grouping loop, a per-class counting sort through a single key-indexed
+// table, the same idiom FromColumn uses on a whole column.
+//
 // # Ranks
 //
 // Every kernel requires ranks to be non-negative. It does not require them
@@ -55,8 +65,8 @@ type Partition struct {
 
 // fromClasses builds a flat partition from materialized class slices. It is
 // the bridge used by the naive oracles and in-package tests; the production
-// constructors (FromColumn, FromConstant, ProductWith) emit into the flat
-// buffers directly.
+// constructors (FromColumn, FromConstant, RefineWith, ProductWith) emit into
+// the flat buffers directly.
 func fromClasses(numRows int, classes [][]int32) *Partition {
 	size := 0
 	for _, c := range classes {

@@ -331,3 +331,166 @@ func TestFindSwapWitnessRule(t *testing.T) {
 		}
 	}
 }
+
+// refineBrute restates RefineWith's output contract with a map per class:
+// for each class of p in order, its subclasses by col in order of first
+// appearance, singletons dropped.
+func refineBrute(p *Partition, col []int32) [][]int32 {
+	out := [][]int32{}
+	p.ForEachClass(func(cls []int32) {
+		groups := map[int32][]int32{}
+		var order []int32
+		for _, row := range cls {
+			if _, seen := groups[col[row]]; !seen {
+				order = append(order, col[row])
+			}
+			groups[col[row]] = append(groups[col[row]], row)
+		}
+		for _, v := range order {
+			if len(groups[v]) >= 2 {
+				out = append(out, groups[v])
+			}
+		}
+	})
+	return out
+}
+
+// checkScratchClean asserts the between-calls invariants every kernel must
+// restore: an all-zero counts table and an all--1 probe.
+func checkScratchClean(t *testing.T, name string, s *Scratch) {
+	t.Helper()
+	for i, v := range s.counts {
+		if v != 0 {
+			t.Fatalf("%s: counts[%d] = %d between calls, want 0", name, i, v)
+		}
+	}
+	for i, v := range s.probe {
+		if v != -1 {
+			t.Fatalf("%s: probe[%d] = %d between calls, want -1", name, i, v)
+		}
+	}
+}
+
+// checkRefine compares p.RefineWith(col, s) with the map-grouping product
+// oracle (as class sets) and with refineBrute (class order included), checks
+// that rows ascend within every class, and that s is clean afterwards.
+func checkRefine(t *testing.T, name string, p *Partition, col []int32, s *Scratch) *Partition {
+	t.Helper()
+	got := p.RefineWith(col, s)
+	checkScratchClean(t, name+" after RefineWith", s)
+	if got.NumRows != p.NumRows {
+		t.Fatalf("%s: NumRows = %d, want %d", name, got.NumRows, p.NumRows)
+	}
+	want := ProductNaive(p, FromColumn(col, 0))
+	if !reflect.DeepEqual(canonClasses(got), canonClasses(want)) {
+		t.Fatalf("%s: RefineWith classes = %v, product oracle = %v", name, canonClasses(got), canonClasses(want))
+	}
+	if brute := refineBrute(p, col); !reflect.DeepEqual(classesOf(got), brute) {
+		t.Fatalf("%s: RefineWith class order = %v, want %v", name, classesOf(got), brute)
+	}
+	for ci, n := 0, got.NumClasses(); ci < n; ci++ {
+		cls := got.Class(ci)
+		for i := 1; i < len(cls); i++ {
+			if cls[i-1] >= cls[i] {
+				t.Fatalf("%s: class %d rows not ascending: %v", name, ci, cls)
+			}
+		}
+	}
+	return got
+}
+
+// TestRefineWithMatchesOracles runs RefineWith over random contexts and
+// columns — skewed, sparse row-view ranks at or past NumRows, all-distinct,
+// constant — and contexts of pairs, while one Scratch serves every relation
+// size and every kernel in between (ProductWith, the swap check,
+// ConstancyRemovals), so a table one kernel leaves dirty or too small shows
+// up in the next call.
+func TestRefineWithMatchesOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	s := NewScratch()
+	for trial := 0; trial < 300; trial++ {
+		rows := 2 + rng.Intn(250)
+		skewed, _ := skewedColumn(rng, rows, 1+rng.Intn(rows), rng.Float64())
+		sparse := make([]int32, rows)
+		distinct := make([]int32, rows)
+		pairs := make([]int32, rows)
+		base := int32(rows + 64*trial) // past NumRows, and past every earlier trial's ranks
+		for i := range sparse {
+			sparse[i] = base + 7*skewed[i]
+			distinct[i] = int32(rows - 1 - i)
+			pairs[i] = int32(i / 2)
+		}
+		constant := make([]int32, rows)
+		ctxCol, ctxCard := skewedColumn(rng, rows, 1+rng.Intn(rows), rng.Float64())
+		contexts := []*Partition{FromColumn(ctxCol, ctxCard), FromConstant(rows), FromColumn(pairs, 0)}
+		cols := map[string][]int32{"skewed": skewed, "sparse": sparse, "distinct": distinct, "constant": constant, "pairs": pairs}
+		for ci, ctx := range contexts {
+			for _, name := range []string{"skewed", "sparse", "distinct", "constant", "pairs"} {
+				label := fmt.Sprintf("trial %d (%d rows) ctx %d col %s", trial, rows, ci, name)
+				got := checkRefine(t, label, ctx, cols[name], s)
+
+				// Interleave the other table users on the same scratch.
+				other := FromColumn(skewed, 0)
+				if prod, want := ctx.ProductWith(other, s), ProductNaive(ctx, other); !reflect.DeepEqual(canonClasses(prod), canonClasses(want)) {
+					t.Fatalf("%s: ProductWith classes = %v, want %v", label, canonClasses(prod), canonClasses(want))
+				}
+				checkScratchClean(t, label+" after ProductWith", s)
+				if fast, naive := got.HasSwapWith(skewed, sparse, s), got.HasSwapNaive(skewed, sparse); fast != naive {
+					t.Fatalf("%s: HasSwapWith = %v, naive = %v", label, fast, naive)
+				}
+				if gotR, wantR := ctx.ConstancyRemovals(sparse, s), constancyRemovalsNaive(ctx, sparse); gotR != wantR {
+					t.Fatalf("%s: ConstancyRemovals = %d, naive = %d", label, gotR, wantR)
+				}
+				checkScratchClean(t, label+" after ConstancyRemovals", s)
+			}
+		}
+	}
+}
+
+// TestRefineWithGrowsMidClass feeds a fresh scratch ranks that climb past
+// the table several times within one class, so the table grows while pass 1
+// holds live counts.
+func TestRefineWithGrowsMidClass(t *testing.T) {
+	col := []int32{0, 40, 0, 400, 40, 4000, 400, 40000, 4000, 40000, 3, 7}
+	checkRefine(t, "climbing ranks", FromConstant(len(col)), col, NewScratch())
+	ctx := FromColumn([]int32{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}, 2)
+	checkRefine(t, "climbing ranks in two classes", ctx, col, NewScratch())
+}
+
+func TestRefineWithMismatchedRowsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a column of the wrong length")
+		}
+	}()
+	FromConstant(3).RefineWith([]int32{0, 0}, NewScratch())
+}
+
+// FuzzRefineWith runs the property check on fuzz-derived relations: each
+// pair of input bytes is one row's context value and refining value, and
+// stride spreads the refining ranks so they can land far past NumRows (up to
+// about 2^18, which keeps the table and the cleanliness scan small).
+func FuzzRefineWith(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0, 2, 1, 1, 1, 1}, uint16(1))
+	f.Add([]byte{3, 9, 3, 9, 3, 9, 4, 0, 4, 1}, uint16(5000))
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, stride uint16) {
+		rows := len(data) / 2
+		if rows == 0 || rows > 4096 {
+			return
+		}
+		ctxCol := make([]int32, rows)
+		col := make([]int32, rows)
+		for i := 0; i < rows; i++ {
+			ctxCol[i] = int32(data[2*i] % 8)
+			col[i] = int32(data[2*i+1]) * (int32(stride%1024) + 1)
+		}
+		s := NewScratch()
+		for _, ctx := range []*Partition{FromColumn(ctxCol, 8), FromConstant(rows)} {
+			got := checkRefine(t, "fuzz", ctx, col, s)
+			ctx.ProductWith(got, s)
+			checkScratchClean(t, "fuzz after ProductWith", s)
+			checkRefine(t, "fuzz refine of a refinement", got, ctxCol, s)
+		}
+	})
+}

@@ -141,8 +141,8 @@ func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
 // ConstancyRemovals returns the minimum number of tuples that must be removed
 // so that attribute col is constant within every class of the partition — the
 // g3 error of the FD X → A (the receiver being Π*X): per class, everything
-// but the most frequent rank goes. The frequency count uses a dense scratch
-// table over the ranks, so the computation is allocation-free on a warm
+// but the most frequent rank goes. The frequency count uses the scratch's
+// rank-indexed counts table, so the computation is allocation-free on a warm
 // scratch. A nil scratch allocates one.
 func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
 	if s == nil {
@@ -151,24 +151,25 @@ func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
 	removals := 0
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)
-		s.touched = s.touched[:0]
+		touched := s.touched[:0]
 		best := int32(0)
 		for _, row := range cls {
 			v := col[row]
-			if int(v) >= len(s.freq) {
-				s.freq = growInt32(s.freq, int(v)+1)
+			if int(v) >= len(s.counts) {
+				s.counts = growInt32(s.counts, int(v)+1)
 			}
-			if s.freq[v] == 0 {
-				s.touched = append(s.touched, v)
+			if s.counts[v] == 0 {
+				touched = append(touched, v)
 			}
-			s.freq[v]++
-			if s.freq[v] > best {
-				best = s.freq[v]
+			s.counts[v]++
+			if s.counts[v] > best {
+				best = s.counts[v]
 			}
 		}
-		for _, v := range s.touched {
-			s.freq[v] = 0
+		for _, v := range touched {
+			s.counts[v] = 0
 		}
+		s.touched = touched
 		removals += len(cls) - int(best)
 	}
 	return removals
