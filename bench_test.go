@@ -11,6 +11,7 @@ package fastod_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,30 +179,33 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWorkers compares the two lattice schedulers — the
-// level-synchronous barrier and the dependency-aware DAG with work stealing —
-// at increasing worker counts on the same FASTOD discovery. The reports are
-// byte-identical across the grid (TestSchedulerDifferential); only wall-clock
-// and allocation behavior may differ. Keeping both modes in the grid means
-// the CI bench-smoke job exercises both scheduler paths on every PR.
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	ds := figureDataset("flight", 2000, 10)
-	for _, sched := range []fastod.Scheduler{fastod.SchedulerBarrier, fastod.SchedulerDAG} {
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", sched, w), func(b *testing.B) {
-				b.ReportAllocs()
-				req := fastod.Request{RunOptions: fastod.RunOptions{Workers: w, Scheduler: sched}}
-				for i := 0; i < b.N; i++ {
-					rep, err := ds.Run(context.Background(), req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Interrupted {
-						b.Fatal("unbudgeted benchmark run interrupted")
-					}
+// BenchmarkManyCheapNodes runs the lattice shape where scheduling overhead,
+// not partition work, decides the wall clock: dbtesma-like 1000x13, about
+// 5000 nodes of a few microseconds each. It runs sequentially and at
+// GOMAXPROCS workers, so a regression that serializes the workers on shared
+// engine state (a run-wide lock on node completion, a locked partition
+// window) shows as the parallel case falling behind the sequential one. The
+// reports are byte-identical across worker counts (TestSchedulerDifferential).
+func BenchmarkManyCheapNodes(b *testing.B) {
+	ds := figureDataset("dbtesma", 1000, 13)
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	for _, w := range workers {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			req := fastod.Request{RunOptions: fastod.RunOptions{Workers: w}}
+			for i := 0; i < b.N; i++ {
+				rep, err := ds.Run(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if rep.Interrupted {
+					b.Fatal("unbudgeted benchmark run interrupted")
+				}
+			}
+		})
 	}
 }
 

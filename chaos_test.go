@@ -12,8 +12,9 @@ import (
 )
 
 // The chaos sweep drives every registered engine fault point through every
-// algorithm, both schedulers and two worker counts, with both fault actions,
-// and asserts the containment contract end to end at the public API:
+// algorithm, worker counts 1, 2 and 4 and two fault-schedule families, with
+// both fault actions, and asserts the containment contract end to end at the
+// public API:
 //
 //   - the process survives every combination (the suite running to completion
 //     is itself the assertion);
@@ -22,9 +23,16 @@ import (
 //   - a fault without one (panics anywhere, errors at must-succeed points)
 //     surfaces as fastod.ErrInternal with a captured stack, never as a crash
 //     or a silently wrong report;
-//   - a schedule whose fault is never reached behaves exactly like no fault;
+//   - a schedule whose fault is never reached behaves exactly like no fault,
+//     and a plan on faultinject.NodeSteal — a point with no hit site, the
+//     sweep's control — never fires at all;
 //   - no combination leaks goroutines, and after the whole sweep every
 //     algorithm still produces the baseline result (nothing was poisoned).
+//
+// The two families, labelled "dag" and "barrier", draw independent seeds for
+// the hit at which the fault lands. The labels are the subtest IDs the sweep
+// had when the engine offered two schedulers, kept stable; the engine has one
+// scheduler now, so the label names a seed family, not a scheduler.
 func TestChaosEngineFaults(t *testing.T) {
 	leakcheck.Check(t)
 	ctx := context.Background()
@@ -60,28 +68,31 @@ func TestChaosEngineFaults(t *testing.T) {
 	var firedPanic, firedDegrade, unfired int
 
 	seed := int64(0)
-	for _, point := range faultinject.EnginePoints {
+	points := append(append([]faultinject.Point(nil), faultinject.EnginePoints...), faultinject.NodeSteal)
+	for _, point := range points {
 		for alg, baseReq := range requests {
-			for _, sched := range []fastod.Scheduler{fastod.SchedulerDAG, fastod.SchedulerBarrier} {
-				for _, workers := range []int{1, 4} {
+			for _, family := range []string{"dag", "barrier"} {
+				for _, workers := range []int{1, 2, 4} {
 					for _, action := range []faultinject.Action{faultinject.ActionPanic, faultinject.ActionError} {
 						seed++
-						name := fmt.Sprintf("%s/%s/%s/w%d/%s", point, alg, sched, workers, action)
+						name := fmt.Sprintf("%s/%s/%s/w%d/%s", point, alg, family, workers, action)
 						t.Run(name, func(t *testing.T) {
 							req := baseReq
 							req.Workers = workers
-							req.Scheduler = sched
 							req.Partitions = smallStore()
 							plan := faultinject.Seeded(seed, point, action, 40, 0)
 							defer faultinject.Enable(plan)()
 
 							rep, err := ds.Run(ctx, req)
 
+							if point == faultinject.NodeSteal && plan.Fired() != 0 {
+								t.Fatalf("a plan on %s fired, but no engine path hits it", point)
+							}
 							if plan.Fired() == 0 {
-								// The scheduled hit was never reached (e.g. a
-								// steal point at one worker, or a schedule past
-								// the run's hit count): the run must be
-								// indistinguishable from a fault-free one.
+								// The scheduled hit was never reached (the
+								// control point, or a schedule past the run's
+								// hit count): the run must be indistinguishable
+								// from a fault-free one.
 								unfired++
 								if err != nil {
 									t.Fatalf("unfired fault changed the run: %v", err)

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	fastod -input data.csv [-algorithm fastod|tane|approx|bidir|conditional|order]
-//	       [-max-level N] [-workers N] [-scheduler dag|barrier]
-//	       [-timeout D] [-max-nodes N]
+//	       [-max-level N] [-workers N] [-timeout D] [-max-nodes N]
 //	       [-threshold F] [-no-pruning] [-count-only] [-levels] [-progress]
 //	       [-limit N] [-order-spec "col DESC NULLS LAST, other COLLATE ci"]
 //
@@ -41,7 +40,6 @@ func main() {
 		algorithm = flag.String("algorithm", "fastod", "algorithm to run: fastod, tane, approx, bidir, conditional or order")
 		maxLevel  = flag.Int("max-level", 0, "stop after this lattice level (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "worker goroutines per lattice level (0 = all CPUs, 1 = sequential)")
-		scheduler = flag.String("scheduler", "", "lattice node scheduler: dag (default) or barrier; the output is identical")
 		timeout   = flag.Duration("timeout", 0, "interrupt the run after this wall-clock budget (0 = none; ORDER defaults to 30s)")
 		maxNodes  = flag.Int("max-nodes", 0, "interrupt the run after visiting this many lattice nodes (0 = none; ORDER defaults to 2000000)")
 		threshold = flag.Float64("threshold", 0.05, "error threshold for -algorithm approx, in [0, 1)")
@@ -68,7 +66,6 @@ func main() {
 		algorithm: *algorithm,
 		maxLevel:  *maxLevel,
 		workers:   *workers,
-		scheduler: *scheduler,
 		timeout:   *timeout,
 		maxNodes:  *maxNodes,
 		threshold: *threshold,
@@ -80,7 +77,7 @@ func main() {
 		orders:    orders,
 	}
 	// Ctrl-C cancels the context; the run stops cooperatively within one
-	// parallel chunk and the partial report is still printed. A second
+	// lattice node per worker and the partial report is still printed. A second
 	// Ctrl-C kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -97,7 +94,6 @@ type config struct {
 	algorithm string
 	maxLevel  int
 	workers   int
-	scheduler string
 	timeout   time.Duration
 	maxNodes  int
 	threshold float64
@@ -123,7 +119,6 @@ func (cfg config) request() fastod.Request {
 		Algorithm: alg,
 		RunOptions: fastod.RunOptions{
 			Workers:    cfg.workers,
-			Scheduler:  fastod.Scheduler(cfg.scheduler),
 			MaxLevel:   cfg.maxLevel,
 			Budget:     budget,
 			OrderSpecs: cfg.orders,

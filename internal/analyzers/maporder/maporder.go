@@ -1,5 +1,5 @@
 // Package maporder guards the determinism contract: reports are
-// byte-identical across schedulers and worker counts (TestSchedulerDifferential),
+// byte-identical across worker counts (TestSchedulerDifferential),
 // so no Go map's nondeterministic iteration order may leak into ordered
 // output. The sanctioned idiom — used throughout the engine, e.g. collecting
 // a slice's condition values — is to drain the map into a slice and sort it

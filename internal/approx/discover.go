@@ -26,9 +26,6 @@ type Options struct {
 	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
 	// sequential). The output is identical regardless of the setting.
 	Workers int
-	// Scheduler selects the node ordering (DAG work-stealing by default,
-	// level-synchronous barrier as an option); see core.Options.Scheduler.
-	Scheduler lattice.Scheduler
 	// Budget bounds the run's wall-clock time and visited lattice nodes; see
 	// core.Options.Budget for the interrupt semantics.
 	Budget lattice.Budget
@@ -107,7 +104,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
-		Scheduler:  opts.Scheduler,
 		Workers:    opts.Workers,
 		MaxLevel:   opts.MaxLevel,
 		Budget:     opts.Budget,
@@ -143,12 +139,12 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 	// Node-reentrant validation with the satisfied-lists under one mutex,
 	// following the same argument as internal/bidir: any list entry that can
-	// gate node X originates at a subset node of X, which the scheduler
+	// gate node X originates at a subset node of X, which the level barrier
 	// guarantees completed (and published) before X starts; entries from
-	// concurrently running nodes are never subsets of X's contexts, so they
-	// cannot flip a gate. Each visit evaluates its minimality gates under the
-	// lock, computes the error counts off it, and publishes its discoveries
-	// before completing.
+	// concurrently running nodes of X's level are never subsets of X's
+	// contexts, so they cannot flip a gate. Each visit evaluates its
+	// minimality gates under the lock, computes the error counts off it, and
+	// publishes its discoveries before completing.
 	type constCand struct {
 		a   int
 		ctx bitset.AttrSet

@@ -289,9 +289,6 @@ type Options struct {
 	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
 	// sequential). The output is identical regardless of the setting.
 	Workers int
-	// Scheduler selects the node ordering (DAG work-stealing by default,
-	// level-synchronous barrier as an option); see core.Options.Scheduler.
-	Scheduler lattice.Scheduler
 	// Budget bounds the run's wall-clock time and visited lattice nodes; see
 	// core.Options.Budget for the interrupt semantics.
 	Budget lattice.Budget
@@ -346,7 +343,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
-		Scheduler:  opts.Scheduler,
 		Workers:    opts.Workers,
 		MaxLevel:   opts.MaxLevel,
 		Budget:     opts.Budget,
@@ -381,12 +377,13 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// Node-reentrant discovery with shared satisfied-lists under one mutex.
 	// The minimality gates stay schedule-independent: an entry S relevant to
 	// node X (S ⊆ context ⊂ X) was discovered at the node S ∪ {checked
-	// attrs}, a subset of X — and the scheduler guarantees every subset of X
-	// completed (and published its discoveries) before X starts. Entries from
-	// concurrently running nodes are never subsets of X's contexts, so they
-	// cannot flip a gate; the lock only makes the slice reads safe. Each
-	// visit evaluates its gates under the lock, runs the expensive partition
-	// checks off it, and publishes its discoveries before completing.
+	// attrs}, a subset of X — and the level barrier guarantees every subset
+	// of X completed (and published its discoveries) before X starts. Entries
+	// from concurrently running nodes of X's level are never subsets of X's
+	// contexts, so they cannot flip a gate; the lock only makes the slice
+	// reads safe. Each visit evaluates its gates under the lock, runs the
+	// expensive partition checks off it, and publishes its discoveries before
+	// completing.
 	type constCand struct {
 		a   int
 		ctx bitset.AttrSet

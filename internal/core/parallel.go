@@ -8,7 +8,7 @@ import (
 // engine extraction; this file keeps FASTOD's deterministic merge machinery:
 // per-worker counter shards and per-node emission buffers that are folded
 // into the result at node completion, so a parallel run is byte-identical to
-// a sequential one under either scheduler.
+// a sequential one.
 
 // checkShard accumulates the validation counters of one worker across the
 // run. Shards are padded to a cache line so that concurrent increments by

@@ -3,7 +3,7 @@
 //
 // Production code calls Fire (or Hit) at named injection points threaded
 // into the hot paths: partition derivation, partition-store lookups and
-// evictions, DAG node dispatch and stealing, CSV decoding and SSE writes.
+// evictions, lattice node dispatch, CSV decoding and SSE writes.
 // When no plan is armed — the production state — Fire is a single atomic
 // pointer load that returns nil; no locks, no allocation, no time reads.
 //
@@ -31,17 +31,21 @@ type Point string
 const (
 	// PartitionProduct fires before a lattice node's stripped partition is
 	// derived — its smallest immediate subset refined by one rank column,
-	// Π(X) = Π(X\{A})·Π(A) — under both schedulers. The name predates the
-	// refinement kernel and is kept so existing fault plans stay valid.
+	// Π(X) = Π(X\{A})·Π(A) — during level generation. The name predates
+	// the refinement kernel and is kept so existing fault plans stay valid.
 	PartitionProduct Point = "partition.product"
 	// StoreGet fires inside PartitionStore.Get before the lookup.
 	StoreGet Point = "store.get"
 	// StoreEvict fires inside the store's evictOne before a victim is
 	// chosen.
 	StoreEvict Point = "store.evict"
-	// NodeDispatch fires when the DAG scheduler hands a node to a worker.
+	// NodeDispatch fires when the lattice engine hands a node of the current
+	// level to a worker, before the node's visit.
 	NodeDispatch Point = "node.dispatch"
-	// NodeSteal fires when a DAG worker steals from another deque.
+	// NodeSteal has no hit site: the lattice engine does not steal work.
+	// The chaos suite arms it as its unreached-point control — a plan on a
+	// point no run passes must never fire and must leave every result
+	// unchanged. faultpoint:test-only
 	NodeSteal Point = "node.steal"
 	// CSVDecode fires at the head of CSV decoding (relation.ReadCSV).
 	CSVDecode Point = "csv.decode"
@@ -51,7 +55,7 @@ const (
 
 // EnginePoints are the injection points that live inside a discovery run
 // (as opposed to the service I/O points). The chaos suite sweeps these.
-var EnginePoints = []Point{PartitionProduct, StoreGet, StoreEvict, NodeDispatch, NodeSteal}
+var EnginePoints = []Point{PartitionProduct, StoreGet, StoreEvict, NodeDispatch}
 
 // Action selects what an armed rule does when it triggers.
 type Action uint8

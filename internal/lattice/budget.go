@@ -14,15 +14,14 @@ import "time"
 // on an arbitrarily wide schema.
 type Budget struct {
 	// Timeout interrupts the run after the given wall-clock duration
-	// (0 = none). The deadline is checked at level barriers and between
-	// ParallelFor chunk handouts, so the interrupt latency is bounded by one
-	// chunk of work, not one lattice level.
+	// (0 = none). The deadline is checked at level barriers, at every node
+	// handout and between ParallelFor chunk handouts, so the interrupt
+	// latency is bounded by one node per worker, not one lattice level.
 	Timeout time.Duration
 	// MaxNodes interrupts the run once it has visited this many lattice
-	// nodes (0 = none). Under the barrier scheduler it is enforced at level
-	// barriers: the level that crosses the bound completes and no further
-	// level starts. Under the DAG scheduler it is enforced at node handout:
-	// at most MaxNodes nodes are ever dispatched.
+	// nodes (0 = none). It is enforced at node handout: at most MaxNodes
+	// nodes are ever handed to visit, and the level that reaches the bound
+	// is left partially visited.
 	MaxNodes int
 }
 

@@ -55,10 +55,10 @@ func sortedClasses(p *partition.Partition) [][]int32 {
 }
 
 // TestDerivedPartitionsIdenticalAcrossSchedulers pins the shared derivation
-// rule: both schedulers, at every worker count, must store the very same
-// partition — class order included — for every node, on a relation skewed
-// enough that the smallest-parent choice departs from x minus its largest
-// attribute.
+// rule: every schedule of the traversal — worker counts 1, 2 and 4 — must
+// store the very same partition, class order included, for every node, on a
+// relation skewed enough that the smallest-parent choice departs from x minus
+// its largest attribute.
 func TestDerivedPartitionsIdenticalAcrossSchedulers(t *testing.T) {
 	enc := skewedEncoded(t, 400)
 	var all bitset.AttrSet
@@ -66,30 +66,28 @@ func TestDerivedPartitionsIdenticalAcrossSchedulers(t *testing.T) {
 		all = all.Add(a)
 	}
 	var ref *PartitionStore
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		for _, workers := range []int{1, 4} {
-			store := NewPartitionStore(0)
-			eng, err := New(enc, Config{Workers: workers, Scheduler: sched, Store: store})
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		store := NewPartitionStore(0)
+		eng, err := New(enc, Config{Workers: workers, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RunNodes(nil, keepAll)
+		if err := eng.Err(); err != nil {
+			t.Fatalf("w%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = store
+			continue
+		}
+		for x := bitset.AttrSet(0); x <= all; x++ {
+			want, _ := ref.Get(x)
+			got, ok := store.Get(x)
+			if !ok {
+				t.Fatalf("w%d: no partition stored for %v", workers, x)
 			}
-			eng.RunNodes(nil, func(int, int, bitset.AttrSet, []any) (any, bool) { return nil, false })
-			if err := eng.Err(); err != nil {
-				t.Fatalf("%s/w%d: %v", sched, workers, err)
-			}
-			if ref == nil {
-				ref = store
-				continue
-			}
-			for x := bitset.AttrSet(0); x <= all; x++ {
-				want, _ := ref.Get(x)
-				got, ok := store.Get(x)
-				if !ok {
-					t.Fatalf("%s/w%d: no partition stored for %v", sched, workers, x)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/w%d: partition of %v = %v, want %v (the reference run's)", sched, workers, x, got, want)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("w%d: partition of %v = %v, want %v (the w1 run's)", workers, x, got, want)
 			}
 		}
 	}

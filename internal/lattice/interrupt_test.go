@@ -9,9 +9,9 @@ import (
 	"repro/internal/bitset"
 )
 
-// TestCancelMidLevel: cancelling the context from inside a visit callback's
-// ParallelFor must stop the handout within one chunk — most of the level's
-// items stay unprocessed — and terminate the traversal with Interrupted set,
+// TestCancelMidLevel: cancelling the context from inside a level's visits
+// must stop the handout within one node per worker — most of the level's
+// nodes stay unvisited — and terminate the traversal with Interrupted set,
 // without visiting another level.
 func TestCancelMidLevel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -21,47 +21,87 @@ func TestCancelMidLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var processed atomic.Int64
-		levelsVisited := 0
-		lastLevelItems := 0
-		eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			levelsVisited++
-			if l < 2 {
-				return nodes // let the lattice widen first
+		var processed, deepest atomic.Int64
+		eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+			if int64(l) > deepest.Load() {
+				deepest.Store(int64(l))
 			}
-			lastLevelItems = len(nodes)
-			eng.ParallelFor(len(nodes), func(_, i int) {
-				if processed.Add(1) == 3 {
-					cancel()
-				}
-			})
-			return nodes
+			if l < 2 {
+				return nil, false // let the lattice widen first
+			}
+			if processed.Add(1) == 3 {
+				cancel()
+			}
+			return nil, false
 		})
 		if !eng.Stats().Interrupted {
 			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
 		}
-		if levelsVisited != 2 {
-			t.Errorf("workers=%d: visited %d levels after mid-level cancel, want 2", workers, levelsVisited)
+		if d := deepest.Load(); d != 2 {
+			t.Errorf("workers=%d: visited down to level %d after mid-level cancel, want 2", workers, d)
 		}
 		// Level 2 of a 10-attribute lattice has 45 nodes. The cancel fires at
-		// item 3; the handout must stop within one chunk per worker, far
-		// short of the full level.
-		if n := int(processed.Load()); n >= lastLevelItems {
-			t.Errorf("workers=%d: all %d items processed despite mid-level cancel", workers, n)
+		// node 3; the handout must stop within one node per worker.
+		if n, max := int(processed.Load()), 3+workers-1; n > max {
+			t.Errorf("workers=%d: %d level-2 nodes visited after a cancel at node 3, want <= %d", workers, n, max)
 		}
 		cancel()
 	}
 }
 
-// TestNodeBudgetInterrupts: MaxNodes must stop the traversal at the level
-// barrier after the bound is crossed, with coherent partial stats.
+// TestNodesVisitedCountsDispatches: a run cancelled mid-level counts exactly
+// the nodes handed to visit — not the whole level it stopped in — and the
+// partial level's progress event reports the same count.
+func TestNodesVisitedCountsDispatches(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		enc := encodeFlight(t, 120, 10)
+		ctx, cancel := context.WithCancel(context.Background())
+		var events []ProgressEvent
+		eng, err := New(enc, Config{
+			Ctx:        ctx,
+			Workers:    workers,
+			OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var visits atomic.Int64
+		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+			if visits.Add(1) == 20 { // 10 singletons, then 10 of level 2's 45 nodes
+				cancel()
+			}
+			return nil, false
+		})
+		st := eng.Stats()
+		if !st.Interrupted {
+			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
+		}
+		if got := int(visits.Load()); got != st.NodesVisited {
+			t.Errorf("workers=%d: %d visits but NodesVisited=%d", workers, got, st.NodesVisited)
+		}
+		if st.NodesVisited >= 10+45 {
+			t.Errorf("workers=%d: NodesVisited=%d counts the whole interrupted level", workers, st.NodesVisited)
+		}
+		if len(events) != 2 {
+			t.Fatalf("workers=%d: %d progress events, want 2 (level 1 and the partial level 2)", workers, len(events))
+		}
+		if last := events[1]; last.Level != 2 || last.Nodes != st.NodesVisited-10 || last.NodesVisited != st.NodesVisited {
+			t.Errorf("workers=%d: partial-level event %+v, want level 2 with %d nodes, %d cumulative",
+				workers, last, st.NodesVisited-10, st.NodesVisited)
+		}
+		cancel()
+	}
+}
+
+// TestNodeBudgetInterrupts: MaxNodes must stop the traversal inside the level
+// that reaches the bound, with coherent partial stats.
 func TestNodeBudgetInterrupts(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
 	full, err := New(enc, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	full.RunNodes(nil, keepAll)
 	if full.Stats().Interrupted {
 		t.Fatal("unbudgeted run must not be interrupted")
 	}
@@ -70,20 +110,20 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	budgeted.RunNodes(nil, keepAll)
 	st := budgeted.Stats()
 	if !st.Interrupted {
 		t.Fatal("over-budget run not marked interrupted")
 	}
-	if st.NodesVisited < 10 {
-		t.Errorf("NodesVisited = %d, want >= MaxNodes before stopping", st.NodesVisited)
+	if st.NodesVisited != 10 {
+		t.Errorf("NodesVisited = %d, want exactly MaxNodes", st.NodesVisited)
 	}
 	if st.NodesVisited >= full.Stats().NodesVisited {
 		t.Errorf("budgeted run visited %d nodes, full run %d — budget had no effect",
 			st.NodesVisited, full.Stats().NodesVisited)
 	}
-	// The level crossing the bound completes; nothing deeper starts. Level 2
-	// (8+28 = 36 nodes) crosses a 10-node budget.
+	// Level 1 has 8 nodes; the budget runs out 2 nodes into level 2 and
+	// nothing deeper starts.
 	if st.MaxLevelReached != 2 {
 		t.Errorf("MaxLevelReached = %d, want 2", st.MaxLevelReached)
 	}
@@ -98,9 +138,9 @@ func TestTimeoutInterrupts(t *testing.T) {
 		t.Fatal(err)
 	}
 	visited := 0
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited += len(nodes)
-		return nodes
+	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		visited++
+		return nil, false
 	})
 	if !eng.Stats().Interrupted {
 		t.Fatal("timed-out run not marked interrupted")
@@ -110,8 +150,8 @@ func TestTimeoutInterrupts(t *testing.T) {
 	}
 }
 
-// TestPreCancelledContext: a context cancelled before Run starts must
-// interrupt before any node is visited.
+// TestPreCancelledContext: a context cancelled before the traversal starts
+// must interrupt before any node is visited.
 func TestPreCancelledContext(t *testing.T) {
 	enc := encodeFlight(t, 50, 6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -120,14 +160,14 @@ func TestPreCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visited := 0
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited += len(nodes)
-		return nodes
+	var visited atomic.Int64
+	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		visited.Add(1)
+		return nil, false
 	})
-	if !eng.Stats().Interrupted || visited != 0 {
+	if !eng.Stats().Interrupted || visited.Load() != 0 {
 		t.Errorf("pre-cancelled run: interrupted=%v visited=%d, want true/0",
-			eng.Stats().Interrupted, visited)
+			eng.Stats().Interrupted, visited.Load())
 	}
 }
 
@@ -143,7 +183,7 @@ func TestProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	eng.RunNodes(nil, keepAll)
 	st := eng.Stats()
 	if len(events) != st.MaxLevelReached {
 		t.Fatalf("got %d progress events, want one per level (%d)", len(events), st.MaxLevelReached)
@@ -169,30 +209,26 @@ func TestProgressEvents(t *testing.T) {
 // intact — the partial-output contract clients rely on.
 func TestInterruptedRunKeepsCompleteLevels(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
-	type seen struct{ level, nodes int }
-	var fullLevels, partialLevels []seen
-	collect := func(out *[]seen) func(int, []bitset.AttrSet) []bitset.AttrSet {
-		return func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			*out = append(*out, seen{l, len(nodes)})
-			return nodes
-		}
-	}
 	full, err := New(enc, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.Run(collect(&fullLevels))
-	budgeted, err := New(enc, Config{Workers: 1, Budget: Budget{MaxNodes: 40}})
+	fullLevels := runLevels(full)
+	budgeted, err := New(enc, Config{Workers: 4, Budget: Budget{MaxNodes: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted.Run(collect(&partialLevels))
-	if len(partialLevels) >= len(fullLevels) {
-		t.Fatalf("budgeted run visited %d levels, full run %d", len(partialLevels), len(fullLevels))
+	partialLevels := runLevels(budgeted)
+	// 8 + 28 nodes fill levels 1 and 2; the budget ends 4 nodes into level 3.
+	if len(partialLevels) != 3 {
+		t.Fatalf("budgeted run visited %d levels, want 3", len(partialLevels))
 	}
-	for i, lv := range partialLevels {
-		if lv != fullLevels[i] {
-			t.Errorf("level %d of budgeted run = %+v, full run %+v", i, lv, fullLevels[i])
+	for i, lv := range partialLevels[:2] {
+		if len(lv) != len(fullLevels[i]) {
+			t.Errorf("level %d of budgeted run has %d nodes, full run %d", i+1, len(lv), len(fullLevels[i]))
 		}
+	}
+	if n := len(partialLevels[2]); n != 4 {
+		t.Errorf("partial level 3 visited %d nodes, want the 4 left in the budget", n)
 	}
 }

@@ -5,15 +5,16 @@
 // (internal/approx, internal/bidir).
 //
 // The Engine factors out what those traversals have in common — singleton
-// seeding, prefix-block joins for the next level (Algorithm 2 of the paper),
-// partition derivation (each node refines its smallest immediate subset's
-// partition by one rank column), the bounded per-level partition retention
-// window, and a chunked parallel executor — while each algorithm keeps
-// ownership of its candidate-set bookkeeping, validation and pruning inside a
-// per-level visit callback. A shared PartitionStore memoizes stripped
-// partitions across runs (e.g. the pruned and un-pruned FASTOD passes of
-// Figure 6, or repeated Discover calls behind the advisor) under a
-// configurable memory bound.
+// seeding, the level-synchronous traversal (Algorithm 1: every node of level
+// l is visited before level l+1 is generated), prefix-block joins for the
+// next level (Algorithm 2), partition derivation (each node refines its
+// smallest immediate subset's partition by one rank column), the bounded
+// per-level partition retention window, and a parallel executor — while each
+// algorithm keeps ownership of its candidate-set bookkeeping, validation and
+// pruning inside a per-node visit callback (RunNodes). A shared
+// PartitionStore memoizes stripped partitions across runs (e.g. the pruned
+// and un-pruned FASTOD passes of Figure 6, or repeated Discover calls behind
+// the advisor) under a configurable memory bound.
 package lattice
 
 import (
@@ -33,17 +34,12 @@ import (
 // Config configures an Engine.
 type Config struct {
 	// Ctx, when non-nil, is checked cooperatively throughout the traversal:
-	// at every level barrier and between ParallelFor chunk handouts (barrier
-	// scheduler) or at every node handout (DAG scheduler). A cancelled
-	// context interrupts the run within one chunk — respectively one node —
-	// of work; the engine keeps everything computed so far and reports
-	// Stats.Interrupted. Nil behaves like context.Background().
+	// at every level barrier, at every node handout of a level's visits, and
+	// between ParallelFor chunk handouts (level generation, client fan-outs).
+	// A cancelled context interrupts the run within one node per worker; the
+	// engine keeps everything computed so far and reports Stats.Interrupted.
+	// Nil behaves like context.Background().
 	Ctx context.Context
-	// Scheduler selects how node work is ordered for the node-reentrant
-	// traversal API (RunNodes): the dependency-aware DAG scheduler (the
-	// default) or the level-synchronous barrier path. See Scheduler. The
-	// level-callback Run API always uses the barrier path.
-	Scheduler Scheduler
 	// Workers is the number of goroutines used per lattice level, with the
 	// same convention as core.Options.Workers: 0 selects runtime.GOMAXPROCS,
 	// 1 forces the fully sequential path, negatives clamp to 1.
@@ -66,9 +62,11 @@ type Config struct {
 	// and the next level generated, with the wall-clock time the whole level
 	// took. Clients use it to record per-level statistics.
 	OnLevelEnd func(level int, elapsed time.Duration)
-	// OnProgress, when non-nil, receives one ProgressEvent per completed
-	// level, including the partial level of an interrupted run. It is invoked
-	// from the traversal goroutine (never concurrently).
+	// OnProgress, when non-nil, receives one ProgressEvent per visited
+	// level, including the partial level of an interrupted run: that event
+	// counts the nodes actually handed to visit before the interrupt. A level
+	// abandoned before its first handout emits no event. It is invoked from
+	// the traversal goroutine (never concurrently).
 	OnProgress func(ProgressEvent)
 }
 
@@ -76,7 +74,7 @@ type Config struct {
 // clients.
 type Stats struct {
 	// NodesVisited is the total number of lattice nodes handed to visit
-	// callbacks.
+	// callbacks. It never exceeds Budget.MaxNodes when that is set.
 	NodesVisited int
 	// MaxLevelReached is the deepest lattice level that produced nodes.
 	MaxLevelReached int
@@ -97,7 +95,6 @@ type Stats struct {
 type Engine struct {
 	enc        *relation.Encoded
 	ctx        context.Context
-	scheduler  Scheduler
 	workers    int
 	maxLevel   int
 	budget     Budget
@@ -106,13 +103,16 @@ type Engine struct {
 	onProgress func(ProgressEvent)
 
 	// started and deadline frame the run's wall clock: both are set once at
-	// the top of Run and only read afterwards, including from worker
+	// the top of RunNodes and only read afterwards, including from worker
 	// goroutines. A zero deadline means no timeout.
 	started  time.Time
 	deadline time.Time
 	// stop is the cooperative interrupt flag, latched by checkInterrupt from
-	// any goroutine and polled between ParallelFor chunk handouts.
+	// any goroutine and polled at every node and chunk handout.
 	stop atomic.Bool
+	// dispatched counts node handouts, the Budget.MaxNodes meter (see
+	// dispatch).
+	dispatched atomic.Int64
 	// fail latches the first recovered worker panic (see panic.go); failMu
 	// guards it because workers recover concurrently. Read through Err.
 	failMu sync.Mutex
@@ -128,14 +128,8 @@ type Engine struct {
 	// parts retains the stripped partitions of the last three lattice levels,
 	// keyed by level then attribute set. The maps are written only at level
 	// barriers and are read-only while a level's nodes are being visited, so
-	// visit callbacks may read them from any worker goroutine. Used by the
-	// barrier path only.
+	// visit callbacks may read them from any worker goroutine without locks.
 	parts map[int]map[bitset.AttrSet]*partition.Partition
-
-	// dagParts is the RWMutex-guarded partition window of an active DAG
-	// traversal; non-nil exactly while runNodesDAG executes. Partition routes
-	// through it when set, so visit callbacks are scheduler-agnostic.
-	dagParts *partTable
 
 	stats Stats
 }
@@ -164,7 +158,6 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 	e := &Engine{
 		enc:        enc,
 		ctx:        ctx,
-		scheduler:  cfg.Scheduler.resolve(),
 		workers:    ResolveWorkers(cfg.Workers),
 		maxLevel:   cfg.MaxLevel,
 		budget:     cfg.Budget,
@@ -190,13 +183,12 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Scratch returns the engine's reusable partition workspace for one worker
 // index (as handed to ParallelFor and NodeVisit callbacks). The engine only
-// ever uses scratch i from worker goroutine i — while generating the next
-// level on the barrier path (which never overlaps a visit callback) or while
-// deriving a node's partition on the DAG path (on the same goroutine that
-// then runs the node's visit) — so visit callbacks are free to use their
-// worker's scratch for swap checks, removal counting and ad-hoc products,
-// keeping the whole validation hot path allocation-free. A scratch must never
-// be used from a different worker index than the one it was requested for.
+// uses scratch i from worker goroutine i while generating the next level,
+// which never overlaps a visit callback, so visit callbacks are free to use
+// their worker's scratch for swap checks, removal counting and ad-hoc
+// products, keeping the whole validation hot path allocation-free. A scratch
+// must never be used from a different worker index than the one it was
+// requested for.
 func (e *Engine) Scratch(worker int) *partition.Scratch { return e.scratch[worker] }
 
 // All returns the full schema R as an attribute set.
@@ -213,8 +205,8 @@ func (e *Engine) Interrupted() bool { return e.stats.Interrupted || e.stop.Load(
 
 // checkInterrupt evaluates the cancellation signals — the latched stop flag,
 // the context, the deadline — and latches the stop flag when any fires. It is
-// called between chunk handouts from worker goroutines and at level barriers,
-// so it must stay cheap: one atomic load on the fast path.
+// called at every node and chunk handout from worker goroutines and at level
+// barriers, so it must stay cheap: one atomic load on the fast path.
 func (e *Engine) checkInterrupt() bool {
 	if e.stop.Load() {
 		return true
@@ -245,9 +237,6 @@ func (e *Engine) partitionsCached() int {
 	if e.store != nil {
 		return e.store.Len()
 	}
-	if t := e.dagParts; t != nil {
-		return t.count()
-	}
 	n := 0
 	for _, m := range e.parts {
 		n += len(m)
@@ -276,13 +265,8 @@ func (e *Engine) finishLevel(l, nodes int, start time.Time) {
 // retention window. During the visit of a level-l node, the partitions of
 // levels l-2, l-1 and l are available — exactly what constancy (context size
 // l-1) and order-compatibility (context size l-2) validation need. It is safe
-// to call from visit worker goroutines; under the DAG scheduler the window is
-// per-node rather than per-level (a level-j partition is only released once
-// every node that could still read it has completed).
+// to call from visit worker goroutines.
 func (e *Engine) Partition(x bitset.AttrSet) *partition.Partition {
-	if t := e.dagParts; t != nil {
-		return t.get(x)
-	}
 	return e.parts[x.Len()][x]
 }
 
@@ -296,69 +280,6 @@ func (e *Engine) Partition(x bitset.AttrSet) *partition.Partition {
 // traversal before any partially generated level is visited.
 func (e *Engine) ParallelFor(n int, fn func(worker, item int)) {
 	parallelForChunk(e.workers, n, chunkFor(e.workers, n), e.checkInterrupt, e.trapWorker, fn)
-}
-
-// Run executes the level-wise traversal. Starting from the singleton level,
-// it calls visit once per level with the level number and its nodes; visit
-// returns the surviving nodes (its pruning decision — return the input slice
-// unchanged to keep everything), and Run generates the next level by joining
-// prefix blocks of the survivors, keeping only candidates whose every
-// immediate subset survived, and deriving each new node's partition (from the
-// store when shared, by a parallel refinement of its smallest immediate
-// subset's partition otherwise; see derive).
-//
-// Cancellation and budget signals interrupt the traversal cooperatively: at
-// every level barrier and — via the engine's ParallelFor — between chunk
-// handouts inside a level, so the interrupt latency is bounded by one chunk
-// of work. An interrupted run keeps everything already computed, never visits
-// a partially generated level, and reports Stats.Interrupted.
-func (e *Engine) Run(visit func(level int, nodes []bitset.AttrSet) []bitset.AttrSet) {
-	defer e.trapTraversal()
-	e.started = time.Now()
-	if e.budget.Timeout > 0 {
-		e.deadline = e.started.Add(e.budget.Timeout)
-	}
-	level := e.firstLevel()
-	for l := 1; len(level) > 0 && (e.maxLevel <= 0 || l <= e.maxLevel); l++ {
-		// The interrupt may have fired between levels (or during firstLevel,
-		// whose singleton partitions would then be incomplete), and the node
-		// budget is accounted at this barrier: either way the remaining work
-		// is abandoned before the level is visited.
-		if e.checkInterrupt() || e.overNodeBudget() {
-			e.stop.Store(true)
-			e.stats.Interrupted = true
-			break
-		}
-		start := time.Now()
-		nodes := len(level)
-		e.stats.NodesVisited += nodes
-		e.stats.MaxLevelReached = l
-		kept := visit(l, level)
-		if e.stopped() {
-			// The level was only partially processed; its statistics are
-			// still stamped so partial reports stay coherent.
-			e.stats.Interrupted = true
-			e.finishLevel(l, nodes, start)
-			break
-		}
-		if e.maxLevel > 0 && l == e.maxLevel {
-			// The loop is about to terminate; don't pay for the partitions
-			// of a level that will never be visited.
-			level = nil
-		} else {
-			level = e.nextLevel(kept, l)
-			if e.stopped() {
-				// Some partitions of the next level were never derived; the
-				// level must not be visited.
-				e.stats.Interrupted = true
-				e.finishLevel(l, nodes, start)
-				break
-			}
-		}
-		// Partitions of level l-2 are no longer needed once level l+1 starts.
-		delete(e.parts, l-2)
-		e.finishLevel(l, nodes, start)
-	}
 }
 
 // stopped reports whether the interrupt flag is latched, without re-deriving
@@ -514,10 +435,10 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 // its immediate subsets, using Π(X) = Π(X \ {A}) · Π(A) for any A in X: it
 // takes the immediate subset X \ {A} with the smallest stripped partition
 // and refines it by A's rank column, so the cost is linear in that smallest
-// Size(). Ties go to the largest A. Both schedulers derive every node through
-// this one rule, and a parent's Size does not depend on how it was derived,
-// so a given attribute set always gets the same partition, class order
-// included. parent must return the partition of every immediate subset of x.
+// Size(). Ties go to the largest A. Every node is derived through this one
+// rule, and a parent's Size does not depend on how it was derived, so a given
+// attribute set always gets the same partition, class order included, at any
+// worker count. parent must return the partition of every immediate subset of x.
 func (e *Engine) derive(x bitset.AttrSet, parent func(bitset.AttrSet) *partition.Partition, s *partition.Scratch) *partition.Partition {
 	var base *partition.Partition
 	refineBy := -1

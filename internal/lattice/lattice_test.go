@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +19,30 @@ func encodeFlight(t *testing.T, rows, cols int) *relation.Encoded {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// keepAll is a visit that keeps every node and records nothing.
+func keepAll(int, int, bitset.AttrSet, []any) (any, bool) { return nil, false }
+
+// runLevels drives a traversal that keeps every node and returns the visited
+// nodes grouped by level, each level sorted: the visit order within a level
+// varies with the worker count.
+func runLevels(eng *Engine) [][]bitset.AttrSet {
+	var mu sync.Mutex
+	var levels [][]bitset.AttrSet
+	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+		mu.Lock()
+		for len(levels) < l {
+			levels = append(levels, nil)
+		}
+		levels[l-1] = append(levels[l-1], x)
+		mu.Unlock()
+		return nil, false
+	})
+	for _, lv := range levels {
+		sort.Slice(lv, func(i, j int) bool { return lv[i] < lv[j] })
+	}
+	return levels
 }
 
 func TestNewValidation(t *testing.T) {
@@ -65,23 +91,21 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[bitset.AttrSet]int)
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		for _, x := range nodes {
-			if x.Len() != l {
-				t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
-			}
-			seen[x]++
-			if eng.Partition(x) == nil {
-				t.Errorf("no partition for node %v at level %d", x, l)
-			}
-			// Immediate subsets must be resolvable for validation.
-			x.ForEach(func(a int) {
-				if eng.Partition(x.Remove(a)) == nil {
-					t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
-				}
-			})
+	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+		if x.Len() != l {
+			t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
 		}
-		return nodes
+		seen[x]++
+		if eng.Partition(x) == nil {
+			t.Errorf("no partition for node %v at level %d", x, l)
+		}
+		// Immediate subsets must be resolvable for validation.
+		x.ForEach(func(a int) {
+			if eng.Partition(x.Remove(a)) == nil {
+				t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
+			}
+		})
+		return nil, false
 	})
 	if want := (1 << cols) - 1; len(seen) != want {
 		t.Fatalf("visited %d distinct nodes, want %d", len(seen), want)
@@ -115,14 +139,12 @@ func TestRunPartitionsMatchDirectComputation(t *testing.T) {
 		})
 		return p
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		for _, x := range nodes {
-			got, want := eng.Partition(x), direct(x)
-			if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
-				t.Errorf("partition of %v = %v, want %v", x, got, want)
-			}
+	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+		got, want := eng.Partition(x), direct(x)
+		if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
+			t.Errorf("partition of %v = %v, want %v", x, got, want)
 		}
-		return nodes
+		return nil, false
 	})
 }
 
@@ -137,18 +159,9 @@ func TestRunPruningStopsGeneration(t *testing.T) {
 	}
 	dropped := bitset.NewAttrSet(0)
 	var visited []bitset.AttrSet
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited = append(visited, nodes...)
-		if l != 1 {
-			return nodes
-		}
-		kept := nodes[:0]
-		for _, x := range nodes {
-			if x != dropped {
-				kept = append(kept, x)
-			}
-		}
-		return kept
+	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+		visited = append(visited, x)
+		return nil, x == dropped
 	})
 	for _, x := range visited {
 		if x != dropped && x.Contains(0) && x.Len() > 1 {
@@ -168,11 +181,11 @@ func TestRunMaxLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxSeen := 0
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
+	eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
 		if l > maxSeen {
 			maxSeen = l
 		}
-		return nodes
+		return nil, false
 	})
 	if maxSeen != 2 {
 		t.Errorf("deepest visited level = %d, want 2", maxSeen)
@@ -190,7 +203,7 @@ func TestRunOnLevelEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	eng.RunNodes(nil, keepAll)
 	if len(ended) != 4 {
 		t.Fatalf("OnLevelEnd fired %d times, want 4", len(ended))
 	}
@@ -212,10 +225,9 @@ func TestWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var visited []bitset.AttrSet
-		eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			visited = append(visited, nodes...)
-			return nodes
-		})
+		for _, lv := range runLevels(eng) {
+			visited = append(visited, lv...)
+		}
 		return visited, eng.Stats()
 	}
 	seqNodes, seqStats := trace(1)
@@ -244,7 +256,7 @@ func TestRunMaxLevelSkipsFinalGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	eng.RunNodes(nil, keepAll)
 	// Exactly the empty set, 5 singletons and C(5,2)=10 pairs get partitions.
 	if want := 1 + 5 + 10; store.Len() != want {
 		t.Errorf("store holds %d partitions after a MaxLevel=2 run, want %d", store.Len(), want)

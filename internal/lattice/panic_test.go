@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitset"
@@ -12,10 +13,26 @@ import (
 )
 
 // Containment contract under test: a panic anywhere inside the engine — a
-// visit function, a partition product, the DAG scheduler's own dispatch and
-// steal paths — must (a) not crash the process, (b) surface through Err() as
-// a *PanicError carrying the stack and, where known, the node, (c) mark the
-// run interrupted, and (d) leave no worker goroutine behind.
+// visit function, a partition derivation, the node handout — must (a) not
+// crash the process, (b) surface through Err() as a *PanicError carrying the
+// stack and, where known, the node, (c) mark the run interrupted, and (d)
+// leave no worker goroutine behind.
+//
+// Some case names carry a "barrier" or "dag" family label: they are the test
+// IDs the suite had when the engine offered two schedulers, kept stable. The
+// engine has one scheduler now, and the families differ in where the fault
+// lands: "barrier" cases fault early in the run, "dag" cases deeper in the
+// lattice.
+
+// faultFamilies maps a case family to the number of hits that pass before
+// its fault fires.
+var faultFamilies = []struct {
+	name  string
+	after int
+}{
+	{"barrier", 2},
+	{"dag", 12},
+}
 
 func assertContained(t *testing.T, eng *Engine, wantNode bool) *PanicError {
 	t.Helper()
@@ -50,22 +67,21 @@ func assertInterrupted(t *testing.T, eng *Engine) {
 }
 
 // TestRunNodesVisitPanicContained: a panic thrown by the visit function is
-// contained under both schedulers at both worker counts, with the panicking
-// node attached.
+// contained at every worker count, in level 1 ("barrier" family) and in
+// level 2 ("dag" family), with the panicking node attached.
 func TestRunNodesVisitPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s_w%d", sched, workers), func(t *testing.T) {
-				eng, err := New(enc, Config{Workers: workers, Scheduler: sched})
+	for _, fam := range faultFamilies {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s_w%d", fam.name, workers), func(t *testing.T) {
+				eng, err := New(enc, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := 0
+				var n atomic.Int64
 				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
-					n++
-					if n == 3 {
+					if n.Add(1) == int64(fam.after)+1 {
 						panic("poisoned visit")
 					}
 					return nil, false
@@ -80,28 +96,28 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 	}
 }
 
-// TestRunVisitPanicContained: same for the level-visit Run API, where the
-// panic unwinds the traversal goroutine itself and is caught by the
-// trapTraversal catch-all (no node context — the visit owns a whole level).
+// TestRunVisitPanicContained: a panic raised on the traversal goroutine
+// itself, outside any node frame — here by the progress hook between levels —
+// is caught by the trapTraversal catch-all (no node context).
 func TestRunVisitPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	eng, err := New(enc, Config{Workers: 2})
+	eng, err := New(enc, Config{Workers: 2, OnProgress: func(ev ProgressEvent) {
+		if ev.Level == 2 {
+			panic("poisoned level hook")
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		if l == 2 {
-			panic("poisoned level visit")
-		}
-		return nodes
-	})
+	eng.RunNodes(nil, keepAll)
 	assertContained(t, eng, false)
 	assertInterrupted(t, eng)
 }
 
 // TestParallelForWorkerPanicContained: a panic inside an Engine.ParallelFor
-// body (the barrier scheduler's chunk workers) lands in trapWorker, stops the
+// body (the chunk workers of level generation and client fan-outs) lands in
+// trapWorker, stops the
 // sibling workers, and surfaces through Err().
 func TestParallelForWorkerPanicContained(t *testing.T) {
 	leakcheck.Check(t)
@@ -122,46 +138,36 @@ func TestParallelForWorkerPanicContained(t *testing.T) {
 }
 
 // TestInjectedFaultsContained: panics fired by the injection points inside
-// the engine itself — partition products, DAG dispatch, DAG steal — are
-// contained exactly like visit panics. These points sit on paths the visit
-// function never sees (the steal path runs while the scheduler mutex is
-// held), so they are the reason the scheduler needs its own recovery frames.
+// the engine itself — partition derivation during level generation, the
+// per-node handout — are contained exactly like visit panics. These points
+// sit on paths the visit function never sees, so they are the reason the
+// engine needs its own recovery frames.
 func TestInjectedFaultsContained(t *testing.T) {
 	enc := encodeFlight(t, 60, 5)
-	cases := []struct {
-		point faultinject.Point
-		sched Scheduler
-	}{
-		{faultinject.PartitionProduct, SchedulerBarrier},
-		{faultinject.PartitionProduct, SchedulerDAG},
-		{faultinject.NodeDispatch, SchedulerDAG},
-		{faultinject.NodeSteal, SchedulerDAG},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			if tc.point == faultinject.NodeSteal && workers == 1 {
-				continue // a single worker never steals
-			}
-			t.Run(fmt.Sprintf("%s_%s_w%d", tc.point, tc.sched, workers), func(t *testing.T) {
-				leakcheck.Check(t)
-				plan := faultinject.NewPlan(faultinject.Rule{
-					Point:  tc.point,
-					Action: faultinject.ActionPanic,
-					After:  2,
-					Times:  1,
+	for _, point := range []faultinject.Point{faultinject.PartitionProduct, faultinject.NodeDispatch} {
+		for _, fam := range faultFamilies {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s_%s_w%d", point, fam.name, workers), func(t *testing.T) {
+					leakcheck.Check(t)
+					plan := faultinject.NewPlan(faultinject.Rule{
+						Point:  point,
+						Action: faultinject.ActionPanic,
+						After:  int64(fam.after),
+						Times:  1,
+					})
+					defer faultinject.Enable(plan)()
+					eng, err := New(enc, Config{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng.RunNodes(nil, keepAll)
+					if plan.Fired() == 0 {
+						t.Fatalf("%s fault after %d hits never fired (%d hits)", point, fam.after, plan.Hits(point))
+					}
+					assertContained(t, eng, false)
+					assertInterrupted(t, eng)
 				})
-				defer faultinject.Enable(plan)()
-				eng, err := New(enc, Config{Workers: workers, Scheduler: tc.sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
-				if plan.Fired() == 0 {
-					t.Skip("injection point not reached in this configuration")
-				}
-				assertContained(t, eng, false)
-				assertInterrupted(t, eng)
-			})
+			}
 		}
 	}
 }
@@ -178,7 +184,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+	clean.RunNodes(nil, keepAll)
 	want := clean.Stats().NodesVisited
 
 	for _, point := range []faultinject.Point{faultinject.StoreGet, faultinject.StoreEvict} {
@@ -193,7 +199,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			eng.RunNodes(nil, keepAll)
 			if plan.Fired() == 0 {
 				t.Fatalf("no %s faults fired", point)
 			}
@@ -211,18 +217,18 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	}
 }
 
-// TestSchedulerSuiteLeaks applies the leak gate to a plain full traversal
-// under both schedulers, so a regression that parks workers on the exit path
-// of a *successful* run is caught here rather than only under faults.
+// TestSchedulerSuiteLeaks applies the leak gate to a plain full traversal at
+// every worker count, so a regression that parks workers on the exit path of
+// a *successful* run is caught here rather than only under faults.
 func TestSchedulerSuiteLeaks(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		eng, err := New(enc, Config{Workers: 4, Scheduler: sched})
+	for _, workers := range []int{1, 2, 4} {
+		eng, err := New(enc, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+		eng.RunNodes(nil, keepAll)
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}

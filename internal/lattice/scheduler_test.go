@@ -11,16 +11,16 @@ import (
 	"repro/internal/relation"
 )
 
-// runNodesRecord drives RunNodes under the given scheduler and worker count
-// with a visit that (a) checks the deps contract — deps[k] is the result of x
-// with its (k+1)-th smallest attribute removed, the root for singletons —
-// (b) checks a partition is served for every visited node, and (c) prunes
-// every node from level 2 up that contains both attributes 0 and 1, so the
-// candidate closure (no superset of a pruned node) is exercised too. Results
-// are the node sets themselves, which is what makes (a) checkable.
-func runNodesRecord(t *testing.T, enc *relation.Encoded, sched Scheduler, workers int) (map[bitset.AttrSet]int, Stats) {
+// runNodesRecord drives RunNodes at the given worker count with a visit that
+// (a) checks the deps contract — deps[k] is the result of x with its (k+1)-th
+// smallest attribute removed, the root for singletons — (b) checks a
+// partition is served for every visited node, and (c) prunes every node from
+// level 2 up that contains both attributes 0 and 1, so the candidate closure
+// (no superset of a pruned node) is exercised too. Results are the node sets
+// themselves, which is what makes (a) checkable.
+func runNodesRecord(t *testing.T, enc *relation.Encoded, workers int) (map[bitset.AttrSet]int, Stats) {
 	t.Helper()
-	eng, err := New(enc, Config{Workers: workers, Scheduler: sched})
+	eng, err := New(enc, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,20 +30,20 @@ func runNodesRecord(t *testing.T, enc *relation.Encoded, sched Scheduler, worker
 	eng.RunNodes(root, func(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
 		attrs := x.Attrs()
 		if len(deps) != len(attrs) {
-			t.Errorf("%s/w%d node %v: %d deps, want %d", sched, workers, x, len(deps), len(attrs))
+			t.Errorf("w%d node %v: %d deps, want %d", workers, x, len(deps), len(attrs))
 		} else {
 			for k, a := range attrs {
 				if got, want := deps[k].(bitset.AttrSet), x.Remove(a); got != want {
-					t.Errorf("%s/w%d node %v: deps[%d] = %v, want %v", sched, workers, x, k, got, want)
+					t.Errorf("w%d node %v: deps[%d] = %v, want %v", workers, x, k, got, want)
 				}
 			}
 		}
 		if p := eng.Partition(x); p == nil {
-			t.Errorf("%s/w%d node %v: no partition served from window", sched, workers, x)
+			t.Errorf("w%d node %v: no partition served from window", workers, x)
 		}
 		mu.Lock()
 		if old, dup := visited[x]; dup {
-			t.Errorf("%s/w%d node %v visited twice (levels %d and %d)", sched, workers, x, old, l)
+			t.Errorf("w%d node %v visited twice (levels %d and %d)", workers, x, old, l)
 		}
 		visited[x] = l
 		mu.Unlock()
@@ -52,55 +52,42 @@ func runNodesRecord(t *testing.T, enc *relation.Encoded, sched Scheduler, worker
 	return visited, eng.Stats()
 }
 
-// TestRunNodesSchedulerDifferential: the DAG scheduler must visit exactly the
-// node set of the barrier scheduler — same nodes, same levels, same stats — at
-// every worker count, including under pruning.
+// TestRunNodesSchedulerDifferential: every worker count must visit exactly
+// the node set of the sequential traversal — same nodes, same levels, same
+// stats — including under pruning.
 func TestRunNodesSchedulerDifferential(t *testing.T) {
 	enc := encodeFlight(t, 80, 6)
-	ref, refStats := runNodesRecord(t, enc, SchedulerBarrier, 1)
+	ref, refStats := runNodesRecord(t, enc, 1)
 	if len(ref) == 0 || len(ref) >= 1<<6-1 {
 		t.Fatalf("reference run visited %d nodes; the pruning rule must bite for the test to mean anything", len(ref))
 	}
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		for _, workers := range []int{1, 4} {
-			if sched == SchedulerBarrier && workers == 1 {
-				continue
-			}
-			got, st := runNodesRecord(t, enc, sched, workers)
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s/w%d: visited node set differs from barrier/w1 (%d vs %d nodes)",
-					sched, workers, len(got), len(ref))
-			}
-			if st.NodesVisited != refStats.NodesVisited || st.MaxLevelReached != refStats.MaxLevelReached {
-				t.Errorf("%s/w%d: stats (%d nodes, max level %d) differ from barrier/w1 (%d, %d)",
-					sched, workers, st.NodesVisited, st.MaxLevelReached,
-					refStats.NodesVisited, refStats.MaxLevelReached)
-			}
-			if st.Interrupted {
-				t.Errorf("%s/w%d: unbudgeted run marked interrupted", sched, workers)
-			}
+	for _, workers := range []int{2, 4} {
+		got, st := runNodesRecord(t, enc, workers)
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("w%d: visited node set differs from w1 (%d vs %d nodes)", workers, len(got), len(ref))
+		}
+		if st.NodesVisited != refStats.NodesVisited || st.MaxLevelReached != refStats.MaxLevelReached {
+			t.Errorf("w%d: stats (%d nodes, max level %d) differ from w1 (%d, %d)",
+				workers, st.NodesVisited, st.MaxLevelReached, refStats.NodesVisited, refStats.MaxLevelReached)
+		}
+		if st.Interrupted {
+			t.Errorf("w%d: unbudgeted run marked interrupted", workers)
 		}
 	}
 }
 
-// TestDAGNodeBudgetLatency: under the DAG scheduler MaxNodes is enforced at
-// node handout, so at most MaxNodes nodes are ever dispatched — the barrier
-// path, by contrast, finishes the level that crosses the bound. Partial levels
-// must emit no progress events: every event describes a fully completed level.
-func TestDAGNodeBudgetLatency(t *testing.T) {
+// TestNodeBudgetLatency: MaxNodes is enforced at node handout, so exactly
+// MaxNodes nodes are handed to visit, however many workers race for the
+// last ones. The level that reaches the bound is left partial and still
+// emits its progress event, counting only the nodes actually visited.
+func TestNodeBudgetLatency(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
 	for _, workers := range []int{1, 4} {
 		var events []ProgressEvent
-		var evMu sync.Mutex
 		eng, err := New(enc, Config{
-			Workers:   workers,
-			Scheduler: SchedulerDAG,
-			Budget:    Budget{MaxNodes: 10},
-			OnProgress: func(ev ProgressEvent) {
-				evMu.Lock()
-				events = append(events, ev)
-				evMu.Unlock()
-			},
+			Workers:    workers,
+			Budget:     Budget{MaxNodes: 10},
+			OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -112,33 +99,38 @@ func TestDAGNodeBudgetLatency(t *testing.T) {
 		})
 		st := eng.Stats()
 		if !st.Interrupted {
-			t.Fatalf("workers=%d: over-budget DAG run not marked interrupted", workers)
+			t.Fatalf("workers=%d: over-budget run not marked interrupted", workers)
 		}
-		if st.NodesVisited > 10 {
-			t.Errorf("workers=%d: %d nodes dispatched, budget was 10 — handout must enforce the bound exactly",
+		if st.NodesVisited != 10 {
+			t.Errorf("workers=%d: NodesVisited=%d, budget was 10 — handout must enforce the bound exactly",
 				workers, st.NodesVisited)
 		}
 		if got := int(visits.Load()); got != st.NodesVisited {
 			t.Errorf("workers=%d: %d visits but NodesVisited=%d", workers, got, st.NodesVisited)
 		}
+		// Level 1 has 8 nodes, so the budget ends 2 nodes into level 2.
+		want := []ProgressEvent{{Level: 1, Nodes: 8, NodesVisited: 8}, {Level: 2, Nodes: 2, NodesVisited: 10}}
+		if len(events) != len(want) {
+			t.Fatalf("workers=%d: %d progress events, want %d", workers, len(events), len(want))
+		}
 		for i, ev := range events {
-			if ev.Level != i+1 {
-				t.Errorf("workers=%d: event %d has level %d, want %d (complete levels only, in order)",
-					workers, i, ev.Level, i+1)
+			if ev.Level != want[i].Level || ev.Nodes != want[i].Nodes || ev.NodesVisited != want[i].NodesVisited {
+				t.Errorf("workers=%d: event %d = level %d, %d nodes, %d cumulative; want %+v",
+					workers, i, ev.Level, ev.Nodes, ev.NodesVisited, want[i])
 			}
 		}
 	}
 }
 
-// TestDAGCancelLatency: cancelling the context from inside a visit stops
-// dispatch at the next handout — at most workers-1 nodes (those already in
-// flight on other workers) complete after the cancelling node.
-func TestDAGCancelLatency(t *testing.T) {
+// TestNodeCancelLatency: cancelling the context from inside a visit stops
+// the handout at the next node — at most workers-1 nodes (those already
+// handed out to other workers) are visited after the cancelling node.
+func TestNodeCancelLatency(t *testing.T) {
 	const cancelAt = 5
 	for _, workers := range []int{1, 4} {
 		enc := encodeFlight(t, 100, 8)
 		ctx, cancel := context.WithCancel(context.Background())
-		eng, err := New(enc, Config{Ctx: ctx, Workers: workers, Scheduler: SchedulerDAG})
+		eng, err := New(enc, Config{Ctx: ctx, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +142,7 @@ func TestDAGCancelLatency(t *testing.T) {
 			return nil, false
 		})
 		if !eng.Stats().Interrupted {
-			t.Fatalf("workers=%d: cancelled DAG run not marked interrupted", workers)
+			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
 		}
 		if got, max := int(visits.Load()), cancelAt+workers-1; got > max {
 			t.Errorf("workers=%d: %d nodes visited after cancel at node %d, want <= %d (one in-flight node per other worker)",
@@ -160,26 +152,22 @@ func TestDAGCancelLatency(t *testing.T) {
 	}
 }
 
-// TestDAGProgressCoherence: under out-of-order node completion the per-level
-// events must still arrive in level order with NodesVisited equal to the
-// cumulative node count through that level, ending at the engine total.
-func TestDAGProgressCoherence(t *testing.T) {
+// TestProgressCoherence: with four workers visiting each level in parallel,
+// the per-level events arrive in level order with NodesVisited equal to the
+// cumulative node count through that level, ending at the engine total. A
+// complete run emits exactly one event per level; a partial level's event is
+// covered by TestNodeBudgetLatency.
+func TestProgressCoherence(t *testing.T) {
 	enc := encodeFlight(t, 80, 6)
 	var events []ProgressEvent
-	var mu sync.Mutex
 	eng, err := New(enc, Config{
-		Workers:   4,
-		Scheduler: SchedulerDAG,
-		OnProgress: func(ev ProgressEvent) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
+		Workers:    4,
+		OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+	eng.RunNodes(nil, keepAll)
 	st := eng.Stats()
 	if len(events) != st.MaxLevelReached {
 		t.Fatalf("got %d events, want one per level (%d)", len(events), st.MaxLevelReached)
@@ -202,30 +190,26 @@ func TestDAGProgressCoherence(t *testing.T) {
 	}
 }
 
-// TestSchedulerSharedStoreStress: engines under both schedulers hammering one
-// PartitionStore concurrently must all complete the full traversal — the
-// store's synchronization is the same for barrier level loops and DAG worker
-// deques. Run under -race this is the scheduler's data-race canary.
+// TestSchedulerSharedStoreStress: engines at worker counts 1, 2 and 4
+// hammering one PartitionStore concurrently must all complete the full
+// traversal. Run under -race this is the engine's data-race canary for
+// store-first level generation.
 func TestSchedulerSharedStoreStress(t *testing.T) {
 	enc := encodeFlight(t, 60, 5)
 	store := NewPartitionStore(1 << 20)
 	want := -1
 	var wg sync.WaitGroup
-	results := make([]int, 8)
+	results := make([]int, 9)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sched := SchedulerDAG
-			if i%2 == 0 {
-				sched = SchedulerBarrier
-			}
-			eng, err := New(enc, Config{Workers: 2, Scheduler: sched, Store: store})
+			eng, err := New(enc, Config{Workers: []int{1, 2, 4}[i%3], Store: store})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			eng.RunNodes(nil, keepAll)
 			results[i] = eng.Stats().NodesVisited
 		}(i)
 	}
@@ -239,6 +223,6 @@ func TestSchedulerSharedStoreStress(t *testing.T) {
 		}
 	}
 	if st := store.Stats(); st.Hits == 0 {
-		t.Errorf("store served no hits across 8 concurrent full traversals: %+v", st)
+		t.Errorf("store served no hits across 9 concurrent full traversals: %+v", st)
 	}
 }

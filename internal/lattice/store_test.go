@@ -51,7 +51,7 @@ func TestStoreCrossCallReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+		eng.RunNodes(nil, keepAll)
 		return eng.Stats()
 	}
 	first := run()

@@ -212,12 +212,32 @@ func TestDiscoverRequestValidation(t *testing.T) {
 	}
 }
 
+// TestDiscoverRejectsSchedulerField pins the wire contract: "scheduler" is
+// not a request field (the lattice has one scheduler), and the strict decoder
+// answers a body that sends it with a 400 rather than silently ignoring it.
+func TestDiscoverRejectsSchedulerField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := upload(t, ts, "emp", csvOf(t, datagen.Employees()))
+	resp.Body.Close()
+
+	for _, body := range []string{`{"scheduler":"dag"}`, `{"scheduler":"barrier","workers":1}`} {
+		status, _, errBody := discover(t, ts, "emp", body)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, status)
+			continue
+		}
+		if !strings.Contains(errBody.Error, `unknown field "scheduler"`) {
+			t.Errorf("%s: error %q does not name the unknown scheduler field", body, errBody.Error)
+		}
+	}
+}
+
 func TestDiscoverInterruptedIsA200(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := upload(t, ts, "flight", csvOf(t, datagen.FlightLike(300, 6, 2017)))
 	resp.Body.Close()
 
-	// A one-node allowance trips at the first level barrier, deterministically:
+	// A one-node allowance trips at the second node handout, deterministically:
 	// the run returns a partial report, and the server reports it as success.
 	status, out, _ := discover(t, ts, "flight", `{"max_nodes":1}`)
 	if status != http.StatusOK {

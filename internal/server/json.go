@@ -22,7 +22,6 @@ import (
 type DiscoverRequest struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
-	Scheduler string `json:"scheduler,omitempty"`
 	MaxLevel  int    `json:"max_level,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	MaxNodes  int    `json:"max_nodes,omitempty"`
@@ -104,9 +103,8 @@ func (q DiscoverRequest) toRequest() (fastod.Request, error) {
 	req := fastod.Request{
 		Algorithm: fastod.Algorithm(q.Algorithm),
 		RunOptions: fastod.RunOptions{
-			Workers:   q.Workers,
-			Scheduler: fastod.Scheduler(q.Scheduler),
-			MaxLevel:  q.MaxLevel,
+			Workers:  q.Workers,
+			MaxLevel: q.MaxLevel,
 			Budget: fastod.Budget{
 				Timeout:  time.Duration(q.TimeoutMS) * time.Millisecond,
 				MaxNodes: q.MaxNodes,

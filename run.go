@@ -58,7 +58,7 @@ func Algorithms() []Algorithm {
 // Budget bounds the resources one discovery run may consume: a wall-clock
 // timeout and a visited-node allowance, both optional (the zero value means
 // unbounded). An exhausted budget interrupts the run cooperatively — within
-// one parallel chunk of work, not one lattice level — and the Report carries
+// one lattice node per worker, not one lattice level — and the Report carries
 // everything discovered so far with Interrupted set. See lattice.Budget for
 // the precise latency contract of each knob.
 type Budget = lattice.Budget
@@ -70,21 +70,6 @@ type ProgressEvent = lattice.ProgressEvent
 // SliceInfo identifies the condition slice a conditional per-slice progress
 // event describes; see ProgressEvent.Slice and SliceProgressLevel.
 type SliceInfo = lattice.SliceInfo
-
-// Scheduler selects how the set-lattice algorithms order node visits: the
-// dependency-aware work-stealing scheduler (the default) or the
-// level-synchronous barrier. The output is identical either way; see
-// lattice.Scheduler for the precise semantics and tradeoffs.
-type Scheduler = lattice.Scheduler
-
-// The schedulers a Request may select. The zero value selects SchedulerDAG.
-const (
-	// SchedulerDAG dispatches a node as soon as its immediate subsets are
-	// done, with work stealing (the default).
-	SchedulerDAG = lattice.SchedulerDAG
-	// SchedulerBarrier synchronizes all workers at every lattice level.
-	SchedulerBarrier = lattice.SchedulerBarrier
-)
 
 // DefaultBudget is a conservative budget for interactive and service use: no
 // discovery call outlives 30 seconds or two million lattice nodes. Narrow
@@ -104,13 +89,6 @@ type RunOptions struct {
 	// GOMAXPROCS, 1 = sequential). The output is identical regardless of the
 	// setting. Ignored by ORDER, whose list-lattice search is sequential.
 	Workers int
-	// Scheduler selects the node-visit ordering of the set-lattice algorithms
-	// (FASTOD, TANE, approx, bidir, and conditional's inner passes): the
-	// dependency-aware DAG scheduler by default, or the level-synchronous
-	// barrier. The output is identical either way — the knob trades the
-	// barrier's simpler accounting against the DAG's lower cancellation
-	// latency and better load balance. Ignored by ORDER.
-	Scheduler Scheduler
 	// MaxLevel, when positive, bounds the lattice level processed: attribute
 	// set sizes for the set-lattice algorithms, attribute list lengths for
 	// ORDER. Stopping at MaxLevel is a normal completion, not an interrupt.
@@ -261,9 +239,6 @@ func (r Request) Validate() error {
 	if r.Workers < 0 {
 		return fmt.Errorf("%w: negative Workers %d (0 selects all CPUs, 1 is sequential)", ErrInvalidRequest, r.Workers)
 	}
-	if !r.Scheduler.Valid() {
-		return fmt.Errorf("%w: unknown scheduler %q (want %q or %q)", ErrInvalidRequest, r.Scheduler, SchedulerDAG, SchedulerBarrier)
-	}
 	if r.MaxLevel < 0 {
 		return fmt.Errorf("%w: negative MaxLevel %d (0 means unlimited)", ErrInvalidRequest, r.MaxLevel)
 	}
@@ -361,9 +336,6 @@ func (d *Dataset) ValidateRequest(req Request) error {
 //   - the zero Algorithm becomes AlgorithmFASTOD, its documented meaning;
 //   - Workers is erased: the engine's contract is that output is identical
 //     for every worker count, so parallelism must not fragment a cache;
-//   - Scheduler is erased for the same reason: DAG and barrier runs produce
-//     identical reports (the differential suites assert it), so the execution
-//     strategy has no place in a request identity;
 //   - Partitions is erased: a partition store changes where partitions are
 //     cached, never what is computed (callers that do supply an explicit
 //     store should not cache across it — see the server's rules — but the
@@ -395,7 +367,6 @@ func (r Request) Canonical() Request {
 		r.Algorithm = AlgorithmFASTOD
 	}
 	r.Workers = 0
-	r.Scheduler = ""
 	r.Partitions = nil
 	r.OrderSpecs = canonicalAttrOrders(r.OrderSpecs)
 	if r.Algorithm != AlgorithmFASTOD && r.Algorithm != AlgorithmConditional {
@@ -630,7 +601,6 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 	case AlgorithmTANE:
 		res, err := tane.DiscoverContext(ctx, enc, tane.Options{
 			Workers:    req.Workers,
-			Scheduler:  req.Scheduler,
 			MaxLevel:   req.MaxLevel,
 			Budget:     req.Budget,
 			Progress:   onProgress,
@@ -646,7 +616,6 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		res, err := approx.DiscoverContext(ctx, enc, approx.Options{
 			Threshold:  req.Approx.Threshold,
 			Workers:    req.Workers,
-			Scheduler:  req.Scheduler,
 			MaxLevel:   req.MaxLevel,
 			Budget:     req.Budget,
 			Progress:   onProgress,
@@ -661,7 +630,6 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 	case AlgorithmBidirectional:
 		res, err := bidir.DiscoverContext(ctx, enc, bidir.Options{
 			Workers:    req.Workers,
-			Scheduler:  req.Scheduler,
 			MaxLevel:   req.MaxLevel,
 			Budget:     req.Budget,
 			Progress:   onProgress,
@@ -731,7 +699,6 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 func (d *Dataset) coreOptions(req Request, store *PartitionStore, onProgress func(ProgressEvent)) core.Options {
 	return core.Options{
 		Workers:            req.Workers,
-		Scheduler:          req.Scheduler,
 		MaxLevel:           req.MaxLevel,
 		Budget:             req.Budget,
 		Progress:           onProgress,
