@@ -154,7 +154,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		ctx  bitset.AttrSet
 	}
 	var mu sync.Mutex
-	eng.RunNodes(nil, func(wk, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	lattice.RunNodes(eng, struct{}{}, func(wk int, n lattice.Node, _ []*struct{}) (struct{}, bool) {
+		x := n.Set
 		scratch := eng.Scratch(wk)
 		attrs := x.Attrs()
 		var constCands []constCand
@@ -168,7 +169,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			}
 		}
 		// Order-compatibility candidates: X\{A,B}: A ~ B.
-		if l >= 2 {
+		if n.Level >= 2 {
 			for p := 0; p < len(attrs); p++ {
 				for q := p + 1; q < len(attrs); q++ {
 					a, b := attrs[p], attrs[q]
@@ -187,13 +188,13 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 		var found []Discovered
 		for _, c := range constCands {
-			e := colErr(eng.Partition(c.ctx), c.a, scratch)
+			e := colErr(n.SubPartition(c.a), c.a, scratch)
 			if e.Rate <= opts.Threshold {
 				found = append(found, Discovered{OD: canonical.NewConstancy(c.ctx, c.a), Error: e})
 			}
 		}
 		for _, c := range ocCands {
-			e := pairErr(eng.Partition(c.ctx), c.a, c.b, scratch)
+			e := pairErr(n.SubSubPartition(c.a, c.b), c.a, c.b, scratch)
 			if e.Rate <= opts.Threshold {
 				found = append(found, Discovered{OD: canonical.NewOrderCompatible(c.ctx, c.a, c.b), Error: e})
 			}
@@ -212,7 +213,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			}
 			mu.Unlock()
 		}
-		return nil, false
+		return struct{}{}, false
 	})
 	if err := eng.Err(); err != nil {
 		// A recovered worker panic: fail the discovery rather than report a

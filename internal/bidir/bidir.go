@@ -394,7 +394,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		pol  Polarity
 	}
 	var mu sync.Mutex
-	eng.RunNodes(nil, func(wk, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	lattice.RunNodes(eng, struct{}{}, func(wk int, n lattice.Node, _ []*struct{}) (struct{}, bool) {
+		x := n.Set
 		scratch := eng.Scratch(wk)
 		attrs := x.Attrs()
 		var constCands []constCand
@@ -406,7 +407,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 				constCands = append(constCands, constCand{a: a, ctx: ctx})
 			}
 		}
-		if l >= 2 {
+		if n.Level >= 2 {
 			for p := 0; p < len(attrs); p++ {
 				for q := p + 1; q < len(attrs); q++ {
 					a, b := attrs[p], attrs[q]
@@ -427,7 +428,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 		var found []OD
 		for _, c := range constCands {
-			if eng.Partition(c.ctx).ConstantInClasses(enc.Column(c.a)) {
+			if n.SubPartition(c.a).ConstantInClasses(enc.Column(c.a)) {
 				found = append(found, NewConstancy(c.ctx, c.a))
 			}
 		}
@@ -436,7 +437,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			if c.pol == OppositeDirection {
 				colB = reversed[c.b]
 			}
-			if !eng.Partition(c.ctx).HasSwapWith(enc.Column(c.a), colB, scratch) {
+			if !n.SubSubPartition(c.a, c.b).HasSwapWith(enc.Column(c.a), colB, scratch) {
 				found = append(found, NewOrderCompatible(c.ctx, c.a, c.b, c.pol))
 			}
 		}
@@ -454,7 +455,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			}
 			mu.Unlock()
 		}
-		return nil, false
+		return struct{}{}, false
 	})
 	if err := eng.Err(); err != nil {
 		// A recovered worker panic: fail the discovery rather than report a

@@ -184,41 +184,66 @@ func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.A, p.B) }
 
 // PairSet is a set of unordered attribute pairs, stored as a triangular bit
 // matrix: row A holds every B > A with {A,B} in the set. It backs the C+s(X)
-// candidate sets in FASTOD. PairSet is a plain value with no pointers, so
-// copying it copies the set; the zero value is the empty set. Every operation
-// visits only the non-empty rows.
+// candidate sets in FASTOD. The rows are a slice, so a relation of n
+// attributes needs only n words per set, carved by the caller from a shared
+// slab (see PairsWithin); copying a PairSet shares its rows. The zero value is
+// the empty set, and Add grows the rows as needed. Every operation visits
+// only the non-empty rows.
 type PairSet struct {
-	rows [MaxAttrs]AttrSet
+	rows []AttrSet
 	live AttrSet // a ∈ live iff rows[a] is non-empty
 }
 
-// PairsWithin returns every pair of distinct attributes of x.
-func PairsWithin(x AttrSet) PairSet {
-	var ps PairSet
+// PairsWithin returns every pair of distinct attributes of x, stored in rows
+// when it has at least x.Max()+1 words (its previous contents are cleared)
+// and in a new slice otherwise.
+func PairsWithin(x AttrSet, rows []AttrSet) PairSet {
+	if len(rows) <= x.Max() {
+		rows = make([]AttrSet, x.Max()+1)
+	}
+	clear(rows)
+	ps := PairSet{rows: rows}
 	x.ForEach(func(a int) {
 		ps.setRow(a, x&^(1<<uint(a+1)-1))
 	})
 	return ps
 }
 
-// setRow stores row a and keeps live in step with it.
-func (ps *PairSet) setRow(a int, row AttrSet) {
-	ps.rows[a] = row
-	if row.IsEmpty() {
-		ps.live = ps.live.Remove(a)
-	} else {
-		ps.live = ps.live.Add(a)
+// row returns row a, which is empty beyond the stored rows.
+func (ps *PairSet) row(a int) AttrSet {
+	if a < len(ps.rows) {
+		return ps.rows[a]
 	}
+	return 0
+}
+
+// setRow stores row a and keeps live in step with it. Only Add stores a
+// non-empty row beyond the stored rows, and it grows them first.
+func (ps *PairSet) setRow(a int, row AttrSet) {
+	if row.IsEmpty() {
+		if a < len(ps.rows) {
+			ps.rows[a] = 0
+		}
+		ps.live = ps.live.Remove(a)
+		return
+	}
+	ps.rows[a] = row
+	ps.live = ps.live.Add(a)
 }
 
 // Add inserts the pair into the set.
-func (ps *PairSet) Add(p Pair) { ps.setRow(p.A, ps.rows[p.A].Add(p.B)) }
+func (ps *PairSet) Add(p Pair) {
+	if p.A >= len(ps.rows) {
+		ps.rows = append(ps.rows, make([]AttrSet, p.A+1-len(ps.rows))...)
+	}
+	ps.setRow(p.A, ps.rows[p.A].Add(p.B))
+}
 
 // Remove deletes the pair from the set. Removing an absent pair is a no-op.
-func (ps *PairSet) Remove(p Pair) { ps.setRow(p.A, ps.rows[p.A].Remove(p.B)) }
+func (ps *PairSet) Remove(p Pair) { ps.setRow(p.A, ps.row(p.A).Remove(p.B)) }
 
 // Contains reports whether the pair is in the set.
-func (ps *PairSet) Contains(p Pair) bool { return ps.rows[p.A].Contains(p.B) }
+func (ps *PairSet) Contains(p Pair) bool { return ps.row(p.A).Contains(p.B) }
 
 // Len returns the number of pairs in the set.
 func (ps *PairSet) Len() int {
@@ -240,20 +265,6 @@ func (ps *PairSet) ForEach(fn func(p Pair)) {
 	})
 }
 
-// Union returns the pairs present in either set.
-func (ps *PairSet) Union(other *PairSet) PairSet {
-	out := *ps
-	other.live.ForEach(func(a int) { out.setRow(a, out.rows[a]|other.rows[a]) })
-	return out
-}
-
-// Intersect returns the pairs present in both sets.
-func (ps *PairSet) Intersect(other *PairSet) PairSet {
-	out := *ps
-	ps.live.ForEach(func(a int) { out.setRow(a, out.rows[a]&other.rows[a]) })
-	return out
-}
-
 // IntersectExcept removes every pair that is absent from other and does not
 // contain attribute d: ps becomes ps ∩ (other ∪ {p : d ∈ p}). It is one word
 // operation per non-empty row.
@@ -263,6 +274,6 @@ func (ps *PairSet) IntersectExcept(other *PairSet, d int) {
 	// row d holds only pairs containing d, so it is left as it is.
 	bit := AttrSet(1) << uint(d)
 	ps.live.Remove(d).ForEach(func(a int) {
-		ps.setRow(a, ps.rows[a]&(other.rows[a]|bit))
+		ps.setRow(a, ps.rows[a]&(other.row(a)|bit))
 	})
 }

@@ -159,26 +159,16 @@ func TestPairSetSetOps(t *testing.T) {
 	b.Add(NewPair(0, 2))
 	b.Add(NewPair(1, 2))
 
-	inter := a.Intersect(&b)
-	if inter.Len() != 1 || !inter.Contains(NewPair(0, 2)) {
-		t.Errorf("Intersect = %v", pairsOf(&inter))
-	}
-	uni := a.Union(&b)
-	if uni.Len() != 3 {
-		t.Errorf("Union len = %d, want 3", uni.Len())
-	}
-	clone := a
-	clone.Remove(NewPair(0, 1))
-	if !a.Contains(NewPair(0, 1)) {
-		t.Error("a copy is not independent of the original")
-	}
-
-	within := PairsWithin(NewAttrSet(1, 4, 63))
+	within := PairsWithin(NewAttrSet(1, 4, 63), nil)
 	if got, want := pairsOf(&within), []Pair{{1, 4}, {1, 63}, {4, 63}}; !equalPairs(got, want) {
 		t.Errorf("PairsWithin = %v, want %v", got, want)
 	}
 	// IntersectExcept keeps the pairs of b and those touching attribute 0.
-	within = PairsWithin(NewAttrSet(0, 1, 2))
+	// Caller-supplied rows are cleared first, so a reused slab leaks nothing.
+	within = PairsWithin(NewAttrSet(0, 1, 2), []AttrSet{^AttrSet(0), ^AttrSet(0), ^AttrSet(0), ^AttrSet(0)})
+	if within.Contains(NewPair(3, 5)) || within.Len() != 3 {
+		t.Errorf("PairsWithin kept stale rows of the caller's slab: %v", pairsOf(&within))
+	}
 	within.IntersectExcept(&b, 0)
 	if got, want := pairsOf(&within), []Pair{{0, 1}, {0, 2}, {1, 2}}; !equalPairs(got, want) {
 		t.Errorf("IntersectExcept(b, 0) = %v, want %v", got, want)
@@ -286,31 +276,24 @@ func TestPairSetModelQuick(t *testing.T) {
 				p := randPair()
 				ps.Remove(p)
 				delete(model, p)
-			case 3:
-				op = "Union"
+			case 3, 4:
+				op = "IntersectExcept"
 				other, om := randSet()
-				ps = ps.Union(&other)
-				for p := range om {
-					model[p] = true
-				}
-			case 4:
-				op = "Intersect"
-				other, om := randSet()
-				for p := range model {
-					if !om[p] {
-						delete(model, p)
-					}
-				}
+				d := pool[rng.Intn(len(pool))]
 				// Seed the other set with pairs already present so an
 				// intersection does not almost always empty the set.
 				ps.ForEach(func(p Pair) {
 					if rng.Intn(2) == 0 {
 						other.Add(p)
 						om[p] = true
-						model[p] = true
 					}
 				})
-				ps = ps.Intersect(&other)
+				for p := range model {
+					if !om[p] && p.A != d && p.B != d {
+						delete(model, p)
+					}
+				}
+				ps.IntersectExcept(&other, d)
 			}
 			check(step, op, &ps, model)
 		}

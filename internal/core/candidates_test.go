@@ -38,7 +38,8 @@ func literalSwapCandidates(x bitset.AttrSet, subs map[int]map[bitset.Pair]bool) 
 
 // TestCandidatesMatchLiteralAlgorithm3 checks the word-parallel derivation of
 // C+c(X) and C+s(X) against the literal formulation, over random schemas and
-// random immediate-subset states. Each C+s(X\{D}) is drawn from a shared base
+// random immediate-subset states, each with width-sized candidate rows as the
+// traversal carves them. Each C+s(X\{D}) is drawn from a shared base
 // set (so the intersection keeps something) with per-subset noise, restricted
 // to pairs inside X\{D} as the traversal guarantees.
 func TestCandidatesMatchLiteralAlgorithm3(t *testing.T) {
@@ -51,22 +52,22 @@ func TestCandidatesMatchLiteralAlgorithm3(t *testing.T) {
 			x = x.Add(rng.Intn(n))
 		}
 		base := make(map[bitset.Pair]bool)
-		within := bitset.PairsWithin(x)
+		within := bitset.PairsWithin(x, nil)
 		within.ForEach(func(p bitset.Pair) {
 			if rng.Intn(4) != 0 {
 				base[p] = true
 			}
 		})
 
-		deps := make([]any, 0, x.Len())
+		deps := make([]*nodeState, 0, x.Len())
 		subs := make(map[int]map[bitset.Pair]bool)
 		wantCC := all
 		x.ForEach(func(d int) {
 			sub := x.Remove(d)
-			st := &nodeState{cc: bitset.AttrSet(rng.Uint64()) & all}
+			st := &nodeState{cc: bitset.AttrSet(rng.Uint64()) & all, cs: bitset.PairsWithin(0, make([]bitset.AttrSet, n))}
 			wantCC = wantCC.Intersect(st.cc)
 			m := make(map[bitset.Pair]bool)
-			subPairs := bitset.PairsWithin(sub)
+			subPairs := bitset.PairsWithin(sub, nil)
 			subPairs.ForEach(func(p bitset.Pair) {
 				if base[p] != (rng.Intn(10) == 0) {
 					st.cs.Add(p)
@@ -77,7 +78,7 @@ func TestCandidatesMatchLiteralAlgorithm3(t *testing.T) {
 			subs[d] = m
 		})
 
-		got := candidates(all, x, deps)
+		got := candidates(all, x, deps, make([]bitset.AttrSet, n))
 		want := literalSwapCandidates(x, subs)
 		if got.cc != wantCC {
 			t.Fatalf("trial %d X=%v: C+c = %v, want %v", trial, x, got.cc, wantCC)
@@ -90,5 +91,26 @@ func TestCandidatesMatchLiteralAlgorithm3(t *testing.T) {
 				t.Fatalf("trial %d X=%v: C+s has %v, literal Algorithm 3 does not", trial, x, p)
 			}
 		})
+	}
+}
+
+// TestCandidatesAllocFree: with caller-supplied rows, deriving a node's
+// candidate sets allocates nothing — the per-node path of the traversal
+// touches only the worker's arena and the level's result slab.
+func TestCandidatesAllocFree(t *testing.T) {
+	const n = 13
+	all := bitset.AttrSet(1<<n - 1)
+	x := bitset.NewAttrSet(1, 4, 5, 9, 12)
+	deps := make([]*nodeState, 0, x.Len())
+	x.ForEach(func(d int) {
+		deps = append(deps, &nodeState{cc: all, cs: bitset.PairsWithin(x.Remove(d), make([]bitset.AttrSet, n))})
+	})
+	rows := make([]bitset.AttrSet, n)
+	var st nodeState
+	if allocs := testing.AllocsPerRun(100, func() { st = candidates(all, x, deps, rows) }); allocs != 0 {
+		t.Errorf("candidates allocated %v times per call, want 0", allocs)
+	}
+	if want := x.Len() * (x.Len() - 1) / 2; st.cs.Len() != want {
+		t.Errorf("|C+s| = %d, want every pair of X (%d)", st.cs.Len(), want)
 	}
 }

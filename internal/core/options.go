@@ -20,8 +20,8 @@ type Options struct {
 	// Workers is the number of goroutines processing lattice nodes. A node
 	// only depends on its immediate subsets, so the per-node phases —
 	// candidate-set derivation, FD/swap validation and partition products —
-	// run concurrently across nodes and the results are merged at node
-	// completion: counters commute and the OD list is sorted in a total order
+	// run concurrently across nodes and each worker's results are merged at
+	// level ends: counters commute and the OD list is sorted in a total order
 	// at the end, so the result (ODs, counts and work counters) is identical
 	// to a sequential run regardless of the setting. 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces the fully sequential path with no

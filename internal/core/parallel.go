@@ -1,69 +1,92 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/bitset"
 	"repro/internal/canonical"
 )
 
-// The worker pool and node scheduling live in internal/lattice since the
-// engine extraction; this file keeps FASTOD's deterministic merge machinery:
-// per-worker counter shards and per-node emission buffers that are folded
-// into the result at node completion, so a parallel run is byte-identical to
-// a sequential one.
+const arenaNodes = 512 // nodes' candidate rows per arena chunk
 
-// checkShard accumulates the validation counters of one worker across the
-// run. Shards are padded to a cache line so that concurrent increments by
-// neighbouring workers do not false-share; they are summed into Result.Stats
-// at finish (addition commutes, so totals match the sequential run exactly).
+// checkShard is one worker's share of the run: validation counters, emitted
+// ODs, the counts of the level being visited, the pruned-node tally and the
+// arena its nodes' C+s rows are carved from. Workers write only their own
+// shard, so node completion takes no lock; levelEnd and finish merge the
+// shards (counters commute, and the OD list is sorted in a total order at
+// the end of the run). Shards are padded against false sharing.
 type checkShard struct {
-	fdChecks   int
-	swapChecks int
-	keyPrunes  int
-	_          [40]byte
+	fdChecks, swapChecks, keyPrunes, pruned int
+
+	level LevelStat
+	ods   []canonical.OD
+	arena []bitset.AttrSet
+	_     [64]byte
 }
 
-// mergeShards folds per-worker validation counters into the run totals.
-func (d *discoverer) mergeShards(shards []checkShard) {
-	for i := range shards {
-		d.result.Stats.FDChecks += shards[i].fdChecks
-		d.result.Stats.SwapChecks += shards[i].swapChecks
-		d.result.Stats.KeyPrunes += shards[i].keyPrunes
+// carve hands out n zeroed words of the shard's arena. A chunk is freed once
+// no node state refers to it.
+func (sh *checkShard) carve(n int) []bitset.AttrSet {
+	if len(sh.arena) < n {
+		sh.arena = make([]bitset.AttrSet, n*arenaNodes)
 	}
+	rows := sh.arena[:n:n]
+	sh.arena = sh.arena[n:]
+	return rows
 }
 
-// emitBuffer collects the ODs discovered at a single lattice node. Each node
-// owns one stack-local buffer, so workers never contend while validating;
-// the buffer is merged under the discoverer's mutex when the node completes
-// (emission order is schedule-dependent, the final sort restores it). In
-// CountOnly mode only the per-kind counters are kept, so the no-pruning runs
-// (whose OD counts explode into the millions) stay within memory budget.
-type emitBuffer struct {
-	constancy   int
-	orderCompat int
-	ods         []canonical.OD
-}
-
-// bufferOD parks one discovered OD in a node's emission buffer.
-func (d *discoverer) bufferOD(buf *emitBuffer, od canonical.OD) {
+// emit records one discovered OD. In CountOnly mode only the counters are
+// kept, so the no-pruning runs (millions of ODs) stay within memory budget.
+func (d *discoverer) emit(sh *checkShard, od canonical.OD) {
 	if od.Kind == canonical.Constancy {
-		buf.constancy++
+		sh.level.Constancy++
 	} else {
-		buf.orderCompat++
+		sh.level.OrderCompat++
 	}
 	if !d.opts.CountOnly {
-		buf.ods = append(buf.ods, od)
+		sh.ods = append(sh.ods, od)
 	}
 }
 
-// flushEmits merges the per-node emission buffers into the result in node
-// order — the same order the sequential traversal emits in.
-func (d *discoverer) flushEmits(bufs []emitBuffer, stat *LevelStat) {
-	for i := range bufs {
-		b := &bufs[i]
-		stat.Constancy += b.constancy
-		stat.OrderCompat += b.orderCompat
-		d.result.Counts.Constancy += b.constancy
-		d.result.Counts.OrderCompat += b.orderCompat
-		d.result.Counts.Total += b.constancy + b.orderCompat
-		d.result.ODs = append(d.result.ODs, b.ods...)
+// flushNode records one completed node; its ODs went to the shard as they
+// were found.
+func (sh *checkShard) flushNode(pruned bool) {
+	sh.level.Nodes++
+	if pruned {
+		sh.pruned++
+	}
+}
+
+// drainLevel sums and resets the shards' counts of the level just visited,
+// adding its OD counts to the run totals.
+func (d *discoverer) drainLevel() LevelStat {
+	var st LevelStat
+	for i := range d.shards {
+		lv := &d.shards[i].level
+		st.Nodes += lv.Nodes
+		st.Constancy += lv.Constancy
+		st.OrderCompat += lv.OrderCompat
+		*lv = LevelStat{}
+	}
+	d.result.Counts.Constancy += st.Constancy
+	d.result.Counts.OrderCompat += st.OrderCompat
+	d.result.Counts.Total += st.Constancy + st.OrderCompat
+	return st
+}
+
+// mergeShards folds the per-worker counters and ODs into the result.
+func (d *discoverer) mergeShards() {
+	n := 0
+	for i := range d.shards {
+		n += len(d.shards[i].ods)
+	}
+	d.result.ODs = slices.Grow(d.result.ODs, n)
+	for i := range d.shards {
+		sh := &d.shards[i]
+		d.result.Stats.FDChecks += sh.fdChecks
+		d.result.Stats.SwapChecks += sh.swapChecks
+		d.result.Stats.KeyPrunes += sh.keyPrunes
+		d.result.Stats.NodesPruned += sh.pruned
+		d.result.ODs = append(d.result.ODs, sh.ods...)
 	}
 }

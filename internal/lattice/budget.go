@@ -43,7 +43,7 @@ type ProgressEvent struct {
 	NodesVisited int
 	// PartitionsCached is the number of stripped partitions currently
 	// retained: the shared store's size when one is configured, otherwise the
-	// run's own retention window. Zero for algorithms that do not use
+	// partitions in the run's level table. Zero for algorithms that do not use
 	// partitions (ORDER).
 	PartitionsCached int
 	// Elapsed is the wall-clock time since the run started.

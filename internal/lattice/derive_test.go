@@ -72,7 +72,7 @@ func TestDerivedPartitionsIdenticalAcrossSchedulers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, keepAll)
+		RunNodes(eng, struct{}{}, keepAll)
 		if err := eng.Err(); err != nil {
 			t.Fatalf("w%d: %v", workers, err)
 		}

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/bitset"
 )
 
 // TestCancelMidLevel: cancelling the context from inside a level's visits
@@ -22,17 +20,18 @@ func TestCancelMidLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		var processed, deepest atomic.Int64
-		eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+			l := n.Level
 			if int64(l) > deepest.Load() {
 				deepest.Store(int64(l))
 			}
 			if l < 2 {
-				return nil, false // let the lattice widen first
+				return struct{}{}, false // let the lattice widen first
 			}
 			if processed.Add(1) == 3 {
 				cancel()
 			}
-			return nil, false
+			return struct{}{}, false
 		})
 		if !eng.Stats().Interrupted {
 			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
@@ -66,11 +65,11 @@ func TestNodesVisitedCountsDispatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		var visits atomic.Int64
-		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 			if visits.Add(1) == 20 { // 10 singletons, then 10 of level 2's 45 nodes
 				cancel()
 			}
-			return nil, false
+			return struct{}{}, false
 		})
 		st := eng.Stats()
 		if !st.Interrupted {
@@ -101,7 +100,7 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.RunNodes(nil, keepAll)
+	RunNodes(full, struct{}{}, keepAll)
 	if full.Stats().Interrupted {
 		t.Fatal("unbudgeted run must not be interrupted")
 	}
@@ -110,7 +109,7 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted.RunNodes(nil, keepAll)
+	RunNodes(budgeted, struct{}{}, keepAll)
 	st := budgeted.Stats()
 	if !st.Interrupted {
 		t.Fatal("over-budget run not marked interrupted")
@@ -138,9 +137,9 @@ func TestTimeoutInterrupts(t *testing.T) {
 		t.Fatal(err)
 	}
 	visited := 0
-	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 		visited++
-		return nil, false
+		return struct{}{}, false
 	})
 	if !eng.Stats().Interrupted {
 		t.Fatal("timed-out run not marked interrupted")
@@ -161,9 +160,9 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var visited atomic.Int64
-	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 		visited.Add(1)
-		return nil, false
+		return struct{}{}, false
 	})
 	if !eng.Stats().Interrupted || visited.Load() != 0 {
 		t.Errorf("pre-cancelled run: interrupted=%v visited=%d, want true/0",
@@ -183,7 +182,7 @@ func TestProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	st := eng.Stats()
 	if len(events) != st.MaxLevelReached {
 		t.Fatalf("got %d progress events, want one per level (%d)", len(events), st.MaxLevelReached)

@@ -1,8 +1,12 @@
 package lattice
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +26,7 @@ func encodeFlight(t *testing.T, rows, cols int) *relation.Encoded {
 }
 
 // keepAll is a visit that keeps every node and records nothing.
-func keepAll(int, int, bitset.AttrSet, []any) (any, bool) { return nil, false }
+func keepAll(int, Node, []*struct{}) (struct{}, bool) { return struct{}{}, false }
 
 // runLevels drives a traversal that keeps every node and returns the visited
 // nodes grouped by level, each level sorted: the visit order within a level
@@ -30,14 +34,15 @@ func keepAll(int, int, bitset.AttrSet, []any) (any, bool) { return nil, false }
 func runLevels(eng *Engine) [][]bitset.AttrSet {
 	var mu sync.Mutex
 	var levels [][]bitset.AttrSet
-	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+		l, x := n.Level, n.Set
 		mu.Lock()
 		for len(levels) < l {
 			levels = append(levels, nil)
 		}
 		levels[l-1] = append(levels[l-1], x)
 		mu.Unlock()
-		return nil, false
+		return struct{}{}, false
 	})
 	for _, lv := range levels {
 		sort.Slice(lv, func(i, j int) bool { return lv[i] < lv[j] })
@@ -82,7 +87,8 @@ func TestStoreBoundToOneRelation(t *testing.T) {
 
 // TestRunEnumeratesFullLattice: a visit that keeps every node must see every
 // non-empty subset of the schema exactly once, level by level, with the
-// partitions of the last three levels available.
+// partitions of the node and of its immediate and second-order subsets
+// served by its handle.
 func TestRunEnumeratesFullLattice(t *testing.T) {
 	const cols = 5
 	enc := encodeFlight(t, 100, cols)
@@ -91,21 +97,28 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[bitset.AttrSet]int)
-	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+		l, x := n.Level, n.Set
 		if x.Len() != l {
 			t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
 		}
 		seen[x]++
-		if eng.Partition(x) == nil {
+		if n.Partition() == nil {
 			t.Errorf("no partition for node %v at level %d", x, l)
 		}
-		// Immediate subsets must be resolvable for validation.
+		// Immediate and second-order subsets must be resolvable for
+		// validation.
 		x.ForEach(func(a int) {
-			if eng.Partition(x.Remove(a)) == nil {
+			if n.SubPartition(a) == nil {
 				t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
 			}
+			x.Remove(a).ForEach(func(b int) {
+				if n.SubSubPartition(a, b) == nil {
+					t.Errorf("no partition for subset %v of %v", x.Remove(a).Remove(b), x)
+				}
+			})
 		})
-		return nil, false
+		return struct{}{}, false
 	})
 	if want := (1 << cols) - 1; len(seen) != want {
 		t.Fatalf("visited %d distinct nodes, want %d", len(seen), want)
@@ -124,10 +137,16 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 	}
 }
 
-// TestRunPartitionsMatchDirectComputation: partitions handed out by the
-// engine must equal the ground-truth product of singleton partitions.
+// TestRunPartitionsMatchDirectComputation: every partition a node handle
+// serves — the node's own, SubPartition(a) for each a in x and
+// SubSubPartition(a, b) for each pair in x, the exact contexts FASTOD
+// validates — must have the classes of the direct product of singleton
+// partitions. Pruning thins the levels, so the subset positions the level
+// table records do not line up with a full lattice. The relation's columns
+// have three values each, so few contexts are keys and a context read from
+// the wrong position shows as different classes.
 func TestRunPartitionsMatchDirectComputation(t *testing.T) {
-	enc := encodeFlight(t, 200, 4)
+	enc := tinyEncoded(t, rand.New(rand.NewSource(5)), 6, 300)
 	eng, err := New(enc, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +158,30 @@ func TestRunPartitionsMatchDirectComputation(t *testing.T) {
 		})
 		return p
 	}
-	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
-		got, want := eng.Partition(x), direct(x)
-		if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
-			t.Errorf("partition of %v = %v, want %v", x, got, want)
+	check := func(what string, x bitset.AttrSet, got *partition.Partition) {
+		if want := direct(x); !reflect.DeepEqual(sortedClasses(got), sortedClasses(want)) {
+			t.Errorf("%s: partition of %v = %v, want %v", what, x, got, want)
 		}
-		return nil, false
+	}
+	var nodes atomic.Int64
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+		nodes.Add(1)
+		x := n.Set
+		check("Partition", x, n.Partition())
+		x.ForEach(func(a int) {
+			check(fmt.Sprintf("SubPartition(%d)", a), x.Remove(a), n.SubPartition(a))
+			x.Remove(a).ForEach(func(b int) {
+				check(fmt.Sprintf("SubSubPartition(%d, %d)", a, b), x.Remove(a).Remove(b), n.SubSubPartition(a, b))
+			})
+		})
+		return struct{}{}, n.Level >= 2 && x.Contains(1) && x.Contains(3)
 	})
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, full := int(nodes.Load()), 1<<6-1; got == full || got == 0 {
+		t.Fatalf("visited %d nodes; the pruning rule must bite for the test to mean anything", got)
+	}
 }
 
 // TestRunPruningStopsGeneration: nodes dropped by the visit callback must not
@@ -159,9 +195,10 @@ func TestRunPruningStopsGeneration(t *testing.T) {
 	}
 	dropped := bitset.NewAttrSet(0)
 	var visited []bitset.AttrSet
-	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+		x := n.Set
 		visited = append(visited, x)
-		return nil, x == dropped
+		return struct{}{}, x == dropped
 	})
 	for _, x := range visited {
 		if x != dropped && x.Contains(0) && x.Len() > 1 {
@@ -181,11 +218,12 @@ func TestRunMaxLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxSeen := 0
-	eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []*struct{}) (struct{}, bool) {
+		l := n.Level
 		if l > maxSeen {
 			maxSeen = l
 		}
-		return nil, false
+		return struct{}{}, false
 	})
 	if maxSeen != 2 {
 		t.Errorf("deepest visited level = %d, want 2", maxSeen)
@@ -203,7 +241,7 @@ func TestRunOnLevelEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	if len(ended) != 4 {
 		t.Fatalf("OnLevelEnd fired %d times, want 4", len(ended))
 	}
@@ -256,7 +294,7 @@ func TestRunMaxLevelSkipsFinalGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	// Exactly the empty set, 5 singletons and C(5,2)=10 pairs get partitions.
 	if want := 1 + 5 + 10; store.Len() != want {
 		t.Errorf("store holds %d partitions after a MaxLevel=2 run, want %d", store.Len(), want)

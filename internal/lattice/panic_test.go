@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 )
@@ -80,11 +79,11 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 					t.Fatal(err)
 				}
 				var n atomic.Int64
-				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+				RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 					if n.Add(1) == int64(fam.after)+1 {
 						panic("poisoned visit")
 					}
-					return nil, false
+					return struct{}{}, false
 				})
 				pe := assertContained(t, eng, true)
 				assertInterrupted(t, eng)
@@ -110,7 +109,7 @@ func TestRunVisitPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	assertContained(t, eng, false)
 	assertInterrupted(t, eng)
 }
@@ -160,7 +159,7 @@ func TestInjectedFaultsContained(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng.RunNodes(nil, keepAll)
+					RunNodes(eng, struct{}{}, keepAll)
 					if plan.Fired() == 0 {
 						t.Fatalf("%s fault after %d hits never fired (%d hits)", point, fam.after, plan.Hits(point))
 					}
@@ -184,7 +183,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean.RunNodes(nil, keepAll)
+	RunNodes(clean, struct{}{}, keepAll)
 	want := clean.Stats().NodesVisited
 
 	for _, point := range []faultinject.Point{faultinject.StoreGet, faultinject.StoreEvict} {
@@ -199,7 +198,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.RunNodes(nil, keepAll)
+			RunNodes(eng, struct{}{}, keepAll)
 			if plan.Fired() == 0 {
 				t.Fatalf("no %s faults fired", point)
 			}
@@ -228,7 +227,7 @@ func TestSchedulerSuiteLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, keepAll)
+		RunNodes(eng, struct{}{}, keepAll)
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}

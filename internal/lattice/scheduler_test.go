@@ -27,19 +27,20 @@ func runNodesRecord(t *testing.T, enc *relation.Encoded, workers int) (map[bitse
 	var mu sync.Mutex
 	visited := make(map[bitset.AttrSet]int)
 	root := bitset.AttrSet(0)
-	eng.RunNodes(root, func(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
+	RunNodes(eng, root, func(wk int, n Node, deps []*bitset.AttrSet) (bitset.AttrSet, bool) {
+		l, x := n.Level, n.Set
 		attrs := x.Attrs()
 		if len(deps) != len(attrs) {
 			t.Errorf("w%d node %v: %d deps, want %d", workers, x, len(deps), len(attrs))
 		} else {
 			for k, a := range attrs {
-				if got, want := deps[k].(bitset.AttrSet), x.Remove(a); got != want {
+				if got, want := *deps[k], x.Remove(a); got != want {
 					t.Errorf("w%d node %v: deps[%d] = %v, want %v", workers, x, k, got, want)
 				}
 			}
 		}
-		if p := eng.Partition(x); p == nil {
-			t.Errorf("w%d node %v: no partition served from window", workers, x)
+		if p := n.Partition(); p == nil {
+			t.Errorf("w%d node %v: no partition served by the level table", workers, x)
 		}
 		mu.Lock()
 		if old, dup := visited[x]; dup {
@@ -93,9 +94,9 @@ func TestNodeBudgetLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		var visits atomic.Int64
-		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 			visits.Add(1)
-			return nil, false
+			return struct{}{}, false
 		})
 		st := eng.Stats()
 		if !st.Interrupted {
@@ -135,11 +136,11 @@ func TestNodeCancelLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		var visits atomic.Int64
-		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
 			if visits.Add(1) == cancelAt {
 				cancel()
 			}
-			return nil, false
+			return struct{}{}, false
 		})
 		if !eng.Stats().Interrupted {
 			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
@@ -167,7 +168,7 @@ func TestProgressCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	st := eng.Stats()
 	if len(events) != st.MaxLevelReached {
 		t.Fatalf("got %d events, want one per level (%d)", len(events), st.MaxLevelReached)
@@ -209,7 +210,7 @@ func TestSchedulerSharedStoreStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			eng.RunNodes(nil, keepAll)
+			RunNodes(eng, struct{}{}, keepAll)
 			results[i] = eng.Stats().NodesVisited
 		}(i)
 	}

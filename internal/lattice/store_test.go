@@ -51,7 +51,7 @@ func TestStoreCrossCallReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, keepAll)
+		RunNodes(eng, struct{}{}, keepAll)
 		return eng.Stats()
 	}
 	first := run()
