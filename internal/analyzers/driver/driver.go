@@ -300,7 +300,8 @@ type loader struct {
 	modulePath string
 	fset       *token.FileSet
 	std        types.Importer
-	deps       map[string]*unit // prod-only variants, keyed by import path
+	deps       map[string]*unit    // prod-only variants, keyed by import path
+	imports    map[string][]string // local imports of prod files (localImports)
 }
 
 func newLoader(root string) *loader {
@@ -315,6 +316,7 @@ func newLoader(root string) *loader {
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		deps:       make(map[string]*unit),
+		imports:    make(map[string][]string),
 	}
 }
 
@@ -428,15 +430,7 @@ func (ld *loader) analysisUnits(dir string, tests bool) ([]*unit, error) {
 		}
 		units = append(units, u)
 		if tests && len(extTest) > 0 {
-			// The external foo_test package must see the test-augmented
-			// variant of foo (the export_test.go convention).
-			imp := importerFunc(func(p string) (*types.Package, error) {
-				if p == path {
-					return u.pkg, nil
-				}
-				return ld.Import(p)
-			})
-			tu, err := ld.check(path+"_test", extTest, imp)
+			tu, err := ld.check(path+"_test", extTest, ld.testVariantImporter(path, u.pkg))
 			if err != nil {
 				return nil, err
 			}
@@ -444,6 +438,103 @@ func (ld *loader) analysisUnits(dir string, tests bool) ([]*unit, error) {
 		}
 	}
 	return units, nil
+}
+
+// testVariantImporter is the importer of the external test package of path.
+// The external foo_test package must see the test-augmented variant of foo
+// (the export_test.go convention), so a local dependency that imports foo,
+// directly or transitively, is re-checked against that variant too — the
+// go tool's "bar [foo.test]" packages — or the types reaching the test
+// through bar would differ from those it gets from foo. Every other import
+// resolves as usual.
+func (ld *loader) testVariantImporter(path string, variant *types.Package) types.Importer {
+	variants := map[string]*types.Package{path: variant}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkg, ok := variants[p]; ok {
+			return pkg, nil
+		}
+		dir := ld.dirFor(p)
+		if dir == "" {
+			return ld.Import(p)
+		}
+		reaches, err := ld.reaches(p, path)
+		if err != nil {
+			return nil, err
+		}
+		if !reaches {
+			return ld.Import(p)
+		}
+		prod, _, _, err := ld.parseDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		u, err := ld.check(p, prod, imp)
+		if err != nil {
+			return nil, err
+		}
+		variants[p] = u.pkg
+		return u.pkg, nil
+	}
+	return imp
+}
+
+// reaches reports whether the production files of the local package from
+// import the local package target, directly or transitively.
+func (ld *loader) reaches(from, target string) (bool, error) {
+	seen := make(map[string]bool)
+	var walk func(p string) (bool, error)
+	walk = func(p string) (bool, error) {
+		if seen[p] {
+			return false, nil
+		}
+		seen[p] = true
+		imports, err := ld.localImports(p)
+		if err != nil {
+			return false, err
+		}
+		for _, q := range imports {
+			if q == target {
+				return true, nil
+			}
+			if ok, err := walk(q); ok || err != nil {
+				return ok, err
+			}
+		}
+		return false, nil
+	}
+	return walk(from)
+}
+
+// localImports lists the local packages the production files of the local
+// package path import, parsing each package's import clauses once.
+func (ld *loader) localImports(path string) ([]string, error) {
+	if imports, ok := ld.imports[path]; ok {
+		return imports, nil
+	}
+	dir := ld.dirFor(path)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var imports []string
+	for _, e := range ents {
+		name := e.Name()
+		if !isSource(e) || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range f.Imports {
+			if q := strings.Trim(spec.Path.Value, `"`); ld.dirFor(q) != "" {
+				imports = append(imports, q)
+			}
+		}
+	}
+	ld.imports[path] = imports
+	return imports, nil
 }
 
 // parseDir parses every .go file in dir into production files, in-package
@@ -455,7 +546,7 @@ func (ld *loader) parseDir(dir string) (prod, inTest, extTest []*ast.File, err e
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if !isSource(e) {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -472,6 +563,13 @@ func (ld *loader) parseDir(dir string) (prod, inTest, extTest []*ast.File, err e
 		}
 	}
 	return prod, inTest, extTest, nil
+}
+
+// isSource reports whether a directory entry is a Go file the go tool would
+// build: not a directory, and not hidden by a leading "." or "_".
+func isSource(e os.DirEntry) bool {
+	name := e.Name()
+	return !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
 // check type-checks files as package path using imp for imports.

@@ -28,8 +28,11 @@ func TestCancelMidLevel(t *testing.T) {
 			if l < 2 {
 				return struct{}{}, false // let the lattice widen first
 			}
-			if processed.Add(1) == 3 {
+			switch n := processed.Add(1); {
+			case n == 3:
 				cancel()
+			case n > 3:
+				<-ctx.Done() // see TestNodesVisitedCountsDispatches
 			}
 			return struct{}{}, false
 		})
@@ -66,8 +69,16 @@ func TestNodesVisitedCountsDispatches(t *testing.T) {
 		}
 		var visits atomic.Int64
 		RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []*struct{}) (struct{}, bool) {
-			if visits.Add(1) == 20 { // 10 singletons, then 10 of level 2's 45 nodes
+			switch n := visits.Add(1); {
+			case n == 20: // 10 singletons, then 10 of level 2's 45 nodes
 				cancel()
+			case n > 20:
+				// Another worker took a node before the cancel landed (the
+				// cancelling goroutine may be descheduled between its count
+				// and cancel). Hold it until the cancel has happened, so its
+				// next handout observes the cancel: at most one node per
+				// worker runs past it, however the goroutines are scheduled.
+				<-ctx.Done()
 			}
 			return struct{}{}, false
 		})

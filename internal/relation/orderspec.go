@@ -3,7 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -297,46 +297,47 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 	return enc, nil
 }
 
-// encodeColumn rank-encodes one column under a column order. Distinct raw
-// values are keyed, sorted under the order, and grouped: values whose keys
-// compare equal (possible only under the merging collations — numeric, date,
-// case-insensitive, rank) share one dense rank.
+// encodeColumn rank-encodes one column under a column order. Each raw value
+// is interned once into a first-occurrence id, written straight into the
+// output; only the distinct values are keyed (in id order, so an unparsable
+// value is reported at its first row), and they are sorted as a permutation
+// of ids. Values whose keys compare equal (possible only under the merging
+// collations — numeric, date, case-insensitive, rank) share one dense rank.
+// The output ids are then rewritten to ranks in place.
 func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
-	distinct := make(map[string]struct{}, len(col.Raw))
-	for _, v := range col.Raw {
-		distinct[v] = struct{}{}
-	}
-	values := make([]string, 0, len(distinct))
-	for v := range distinct {
-		values = append(values, v)
+	ids := make(map[string]int32)
+	first := make([]int32, 0, len(col.Raw)) // first[id] is the row id first occurs at
+	out := make([]int32, len(col.Raw))
+	for i, v := range col.Raw {
+		id, ok := ids[v]
+		if !ok {
+			id = int32(len(first))
+			ids[v] = id
+			first = append(first, int32(i))
+		}
+		out[i] = id
 	}
 	maker := newKeyMaker(co, col.Type)
-	keys := make(map[string]sortKey, len(values))
-	for _, v := range values {
-		k, err := maker.key(v)
+	keys := make([]sortKey, len(first))
+	perm := first // each id replaces its row: first becomes the identity permutation
+	for id, row := range first {
+		k, err := maker.key(col.Raw[row])
 		if err != nil {
 			return nil, 0, err
 		}
-		keys[v] = k
+		keys[id], perm[id] = k, int32(id)
 	}
-	sort.Slice(values, func(i, j int) bool {
-		return co.compareKeys(keys[values[i]], keys[values[j]]) < 0
-	})
-	rank := make(map[string]int32, len(values))
-	next := int32(0)
-	for i, v := range values {
-		if i > 0 && co.compareKeys(keys[values[i-1]], keys[v]) != 0 {
-			next++
-		}
-		rank[v] = next
-	}
-	out := make([]int32, len(col.Raw))
-	for i, v := range col.Raw {
-		out[i] = rank[v]
-	}
+	slices.SortFunc(perm, func(a, b int32) int { return co.compareKeys(keys[a], keys[b]) })
+	rank := make([]int32, len(keys))
 	card := 0
-	if len(values) > 0 {
-		card = int(next) + 1
+	for i, id := range perm {
+		if i == 0 || co.compareKeys(keys[perm[i-1]], keys[id]) != 0 {
+			card++
+		}
+		rank[id] = int32(card - 1)
+	}
+	for i, id := range out {
+		out[i] = rank[id]
 	}
 	return out, card, nil
 }

@@ -274,6 +274,20 @@ func TestColumnOrderString(t *testing.T) {
 	}
 }
 
+// SpecOrders covers every direction, NULL placement and collation. It is
+// exported for the external relation_test package.
+var SpecOrders = []ColumnOrder{
+	{},
+	{Direction: Desc},
+	{Nulls: NullsLast},
+	{Direction: Desc, Nulls: NullsLast},
+	{Collation: CollateLexicographic},
+	{Collation: CollateCaseInsensitive, Direction: Desc},
+	{Collation: CollateNumeric, Nulls: NullsLast},
+	{Collation: CollateDate},
+	{Collation: CollateRank, Ranks: []string{"b", "a", "10"}},
+}
+
 // Compare must agree with the encoding on every pair of encoded values.
 func TestCompareAgreesWithEncode(t *testing.T) {
 	cols := []struct {
@@ -284,17 +298,6 @@ func TestCompareAgreesWithEncode(t *testing.T) {
 		{TypeFloat, []string{"1.5", "", "2", "-0.25", "1.50"}},
 		{TypeDate, []string{"2012-01-02", "2011-05-06", "", "2020-12-31"}},
 		{TypeString, []string{"b", "A", "", "a", "10", "2", "n/a"}},
-	}
-	orders := []ColumnOrder{
-		{},
-		{Direction: Desc},
-		{Nulls: NullsLast},
-		{Direction: Desc, Nulls: NullsLast},
-		{Collation: CollateLexicographic},
-		{Collation: CollateCaseInsensitive, Direction: Desc},
-		{Collation: CollateNumeric, Nulls: NullsLast},
-		{Collation: CollateDate},
-		{Collation: CollateRank, Ranks: []string{"b", "a", "10"}},
 	}
 	sign := func(x int) int {
 		switch {
@@ -307,7 +310,7 @@ func TestCompareAgreesWithEncode(t *testing.T) {
 		}
 	}
 	for _, col := range cols {
-		for _, co := range orders {
+		for _, co := range SpecOrders {
 			// The typed default collation rejects junk at encode time; these
 			// fixtures are crafted so every declared type parses.
 			ranks, _ := encodeOne(t, col.typ, col.raw, co)

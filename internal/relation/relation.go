@@ -291,12 +291,8 @@ func Encode(r *Relation) (*Encoded, error) {
 // sniffed type is only a default — an OrderSpec collation overrides it at
 // encode time.
 func SniffType(values []string) Type {
-	isInt, isFloat := true, true
-	layoutOK := make([]bool, len(dateLayouts))
-	for i := range layoutOK {
-		layoutOK[i] = true
-	}
-	isDate := true
+	isInt, isFloat, isDate := true, true, true
+	layoutFailed := make([]bool, len(dateLayouts))
 	nonEmpty := 0
 	for _, v := range values {
 		v = strings.TrimSpace(v)
@@ -304,20 +300,22 @@ func SniffType(values []string) Type {
 			continue
 		}
 		nonEmpty++
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			isInt = false
+		if isInt {
+			_, err := strconv.ParseInt(v, 10, 64)
+			isInt = err == nil
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			isFloat = false
+		if isFloat && !isInt { // every base-10 int64 literal parses as a float too
+			_, err := strconv.ParseFloat(v, 64)
+			isFloat = err == nil
 		}
 		if isDate {
 			any := false
 			for li, layout := range dateLayouts {
-				if !layoutOK[li] {
+				if layoutFailed[li] {
 					continue
 				}
 				if _, err := time.Parse(layout, v); err != nil {
-					layoutOK[li] = false
+					layoutFailed[li] = true
 				} else {
 					any = true
 				}

@@ -87,10 +87,29 @@ func TestSniffType(t *testing.T) {
 		{[]string{"abc", "1"}, TypeString},
 		{[]string{"", ""}, TypeString},
 		{[]string{"", "7"}, TypeInt},
+		// Edges of the int, float and date parsers.
+		{[]string{"+5"}, TypeInt},
+		{[]string{"-0"}, TypeInt},
+		{[]string{" 7 "}, TypeInt},
+		{[]string{"9223372036854775807"}, TypeInt},
+		{[]string{"9223372036854775808"}, TypeFloat}, // int64 overflow
+		{[]string{"1", "9223372036854775808"}, TypeFloat},
+		{[]string{"1e3"}, TypeFloat},
+		{[]string{"NaN"}, TypeFloat},
+		{[]string{"Inf"}, TypeFloat},
+		{[]string{"1e3", "abc"}, TypeString},
+		{[]string{"0x10"}, TypeString},
+		{[]string{"1_000"}, TypeFloat}, // ParseFloat accepts digit separators; ParseInt in base 10 does not
+		{[]string{"", "1", ""}, TypeInt},
+		{[]string{"", "1.5", "", "2"}, TypeFloat},
+		{[]string{"2", "", "1.5"}, TypeFloat},
+		{[]string{"", "2012-01-01", ""}, TypeDate},
+		{[]string{"", "1", "2012-01-01"}, TypeString},
+		{[]string{"", " ", ""}, TypeString},
 	}
 	for _, tc := range cases {
 		if got := SniffType(tc.vals); got != tc.want {
-			t.Errorf("SniffType(%v) = %v, want %v", tc.vals, got, tc.want)
+			t.Errorf("SniffType(%q) = %v, want %v", tc.vals, got, tc.want)
 		}
 	}
 }
@@ -172,6 +191,15 @@ func TestEncodeErrorsOnBadValue(t *testing.T) {
 	r3 := New("bad", Column{Name: "f", Type: TypeFloat, Raw: []string{"x"}})
 	if _, err := Encode(r3); err == nil {
 		t.Error("expected error encoding non-float value in a float column")
+	}
+	// Several bad values: the error names the first one in row order, every
+	// time.
+	r4 := New("bad", Column{Name: "n", Type: TypeInt, Raw: []string{"1", "abc", "xyz"}})
+	for i := 0; i < 50; i++ {
+		_, err := Encode(r4)
+		if err == nil || !strings.Contains(err.Error(), `"abc"`) {
+			t.Fatalf("encode %d: error %v, want one naming \"abc\"", i, err)
+		}
 	}
 }
 
