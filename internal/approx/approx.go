@@ -28,11 +28,17 @@ type Error struct {
 
 // ErrorOf computes the error of a canonical OD on the encoded relation.
 func ErrorOf(enc *relation.Encoded, od canonical.OD) (Error, error) {
+	return errorOf(enc, od, partition.NewScratch())
+}
+
+// errorOf is ErrorOf on the caller's scratch, which serves both the context
+// partition's refinement chain and the removal count.
+func errorOf(enc *relation.Encoded, od canonical.OD, s *partition.Scratch) (Error, error) {
 	switch od.Kind {
 	case canonical.Constancy:
-		return constancyError(enc, od.Context, od.A)
+		return constancyError(enc, od.Context, od.A, s)
 	case canonical.OrderCompatible:
-		return orderCompatError(enc, od.Context, od.A, od.B)
+		return orderCompatError(enc, od.Context, od.A, od.B, s)
 	default:
 		return Error{}, fmt.Errorf("approx: unknown OD kind %v", od.Kind)
 	}
@@ -42,7 +48,7 @@ func ErrorOf(enc *relation.Encoded, od canonical.OD) (Error, error) {
 // class of ΠX all tuples must agree on A, so the removals per class are the
 // class size minus the most frequent A value in it. The per-class counting is
 // the flat ConstancyRemovals kernel of package partition.
-func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, error) {
+func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int, s *partition.Scratch) (Error, error) {
 	if err := checkAttr(enc, a); err != nil {
 		return Error{}, err
 	}
@@ -52,7 +58,6 @@ func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, er
 	if err := checkContext(enc, ctx); err != nil {
 		return Error{}, err
 	}
-	s := partition.NewScratch()
 	p := canonical.ContextPartitionWith(enc, ctx, s)
 	return newError(p.ConstancyRemovals(enc.Column(a), s), enc.NumRows()), nil
 }
@@ -63,7 +68,7 @@ func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, er
 // SwapRemovals kernel of package partition (radix sort on the packed (A, B)
 // key, unlike the A-only sort of the exact swap check, plus patience
 // sorting); everything else must be removed.
-func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Error, error) {
+func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int, s *partition.Scratch) (Error, error) {
 	if err := checkAttr(enc, a); err != nil {
 		return Error{}, err
 	}
@@ -76,9 +81,30 @@ func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Erro
 	if err := checkContext(enc, ctx); err != nil {
 		return Error{}, err
 	}
-	s := partition.NewScratch()
 	p := canonical.ContextPartitionWith(enc, ctx, s)
 	return newError(p.SwapRemovals(enc.Column(a), enc.Column(b), s), enc.NumRows()), nil
+}
+
+// removalLimit returns the largest removal count r in [0, rows] whose rate
+// float64(r)/float64(rows) is at most threshold. The rate is monotone in r,
+// so for every count c, c <= removalLimit(rows, threshold) exactly when
+// newError(c, rows).Rate <= threshold: a removal kernel bounded by the limit
+// makes the same accept/reject decision as comparing the finished rate. An
+// empty relation has only the count 0, which every threshold accepts.
+func removalLimit(rows int, threshold float64) int {
+	if rows == 0 {
+		return 0
+	}
+	n := float64(rows)
+	r := min(max(int(threshold*n), 0), rows)
+	// threshold*n is rounded; step to the exact boundary of the rate test.
+	for r > 0 && float64(r)/n > threshold {
+		r--
+	}
+	for r < rows && float64(r+1)/n <= threshold {
+		r++
+	}
+	return r
 }
 
 func newError(removals, rows int) Error {
@@ -112,11 +138,13 @@ type ODError struct {
 	Error Error
 }
 
-// Profile measures the error of every OD in the slice.
+// Profile measures the error of every OD in the slice, on one scratch shared
+// by every measurement.
 func Profile(enc *relation.Encoded, ods []canonical.OD) ([]ODError, error) {
 	out := make([]ODError, 0, len(ods))
+	s := partition.NewScratch()
 	for _, od := range ods {
-		e, err := ErrorOf(enc, od)
+		e, err := errorOf(enc, od, s)
 		if err != nil {
 			return nil, err
 		}

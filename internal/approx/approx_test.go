@@ -196,6 +196,32 @@ func TestProfile(t *testing.T) {
 	if _, err := Profile(enc, []canonical.OD{canonical.NewConstancy(bitset.AttrSet(0), 63)}); err == nil {
 		t.Error("expected error for invalid OD")
 	}
+
+	// Profile's one shared scratch must measure every OD as a fresh ErrorOf
+	// does, over contexts of every size and both kinds interleaved.
+	enc = encode(t, datagen.HepatitisLike(120, 6, 3))
+	var all []canonical.OD
+	for x := bitset.AttrSet(0); x < 1<<6; x += 3 {
+		for a := 0; a < 6; a++ {
+			all = append(all, canonical.NewConstancy(x.Remove(a), a))
+			for b := a + 1; b < 6; b++ {
+				all = append(all, canonical.NewOrderCompatible(x.Remove(a).Remove(b), a, b))
+			}
+		}
+	}
+	prof, err = Profile(enc, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, od := range all {
+		want, err := ErrorOf(enc, od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof[i].OD != od || prof[i].Error != want {
+			t.Fatalf("Profile[%d] = %+v, want %v with error %+v", i, prof[i], od, want)
+		}
+	}
 }
 
 func TestSwapRemovalsHandlesTies(t *testing.T) {

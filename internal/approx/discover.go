@@ -10,7 +10,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/lattice"
-	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -78,9 +77,13 @@ func (r *Result) Counts() canonical.Count {
 //
 // The traversal is level-wise over the set-containment lattice — driven by
 // the shared engine in internal/lattice, like FASTOD — but validates
-// candidates by computing their error directly; it trades some of FASTOD's
+// candidates by counting their removals directly; it trades some of FASTOD's
 // pruning for simplicity since thresholds are typically used on modest
-// schemas during data profiling.
+// schemas during data profiling. The threshold becomes a removal limit, and
+// a candidate's count stops at the first equivalence class that takes it
+// past the limit, so a rejected candidate costs only the classes up to that
+// point. Reported ODs always finish their count: their Error is exact, equal
+// to ErrorOf.
 func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
 	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
 	return DiscoverContext(context.Background(), enc, opts)
@@ -128,14 +131,11 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return false
 	}
 
-	// Per-class error counting runs on the flat partition kernels with the
-	// engine's per-worker scratches: allocation-free on the hot path.
-	colErr := func(ctxPart *partition.Partition, a int, s *partition.Scratch) Error {
-		return newError(ctxPart.ConstancyRemovals(enc.Column(a), s), enc.NumRows())
-	}
-	pairErr := func(ctxPart *partition.Partition, a, b int, s *partition.Scratch) Error {
-		return newError(ctxPart.SwapRemovals(enc.Column(a), enc.Column(b), s), enc.NumRows())
-	}
+	// Per-class removal counting runs on the bounded partition kernels with
+	// the engine's per-worker scratches: allocation-free on the hot path.
+	// A count within limit is exactly a rate within the threshold.
+	rows := enc.NumRows()
+	limit := removalLimit(rows, opts.Threshold)
 
 	// Node-reentrant validation with the satisfied-lists under one mutex,
 	// following the same argument as internal/bidir: any list entry that can
@@ -188,15 +188,15 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 
 		var found []Discovered
 		for _, c := range constCands {
-			e := colErr(n.SubPartition(c.a), c.a, scratch)
-			if e.Rate <= opts.Threshold {
-				found = append(found, Discovered{OD: canonical.NewConstancy(c.ctx, c.a), Error: e})
+			r, ok := n.SubPartition(c.a).ConstancyRemovalsWithin(enc.Column(c.a), limit, scratch)
+			if ok {
+				found = append(found, Discovered{OD: canonical.NewConstancy(c.ctx, c.a), Error: newError(r, rows)})
 			}
 		}
 		for _, c := range ocCands {
-			e := pairErr(n.SubSubPartition(c.a, c.b), c.a, c.b, scratch)
-			if e.Rate <= opts.Threshold {
-				found = append(found, Discovered{OD: canonical.NewOrderCompatible(c.ctx, c.a, c.b), Error: e})
+			r, ok := n.SubSubPartition(c.a, c.b).SwapRemovalsWithin(enc.Column(c.a), enc.Column(c.b), limit, scratch)
+			if ok {
+				found = append(found, Discovered{OD: canonical.NewOrderCompatible(c.ctx, c.a, c.b), Error: newError(r, rows)})
 			}
 		}
 

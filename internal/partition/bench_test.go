@@ -95,6 +95,21 @@ func BenchmarkSwapRemovals(b *testing.B) {
 	}
 }
 
+// BenchmarkSwapRemovalsWithin is BenchmarkSwapRemovals with a limit of 1 %
+// of the rows, which the inputs exceed within the first few classes: the
+// cost of rejecting a candidate, as approximate discovery does for most.
+func BenchmarkSwapRemovalsWithin(b *testing.B) {
+	ctxCol, ctxCard := randomColumn(50_000, 50, 1)
+	colA, _ := randomColumn(50_000, 1000, 2)
+	colB, _ := randomColumn(50_000, 1000, 3)
+	ctx := FromColumn(ctxCol, ctxCard)
+	s := NewScratch()
+	b.ReportAllocs()
+	for b.Loop() {
+		ctx.SwapRemovalsWithin(colA, colB, 500, s)
+	}
+}
+
 func BenchmarkHasSwapNaive(b *testing.B) {
 	// Smaller input: the naive check is quadratic per class.
 	ctxCol, ctxCard := randomColumn(5_000, 50, 1)

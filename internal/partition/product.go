@@ -17,10 +17,11 @@ func Product(a, b *Partition) *Partition {
 
 // Scratch is a reusable workspace for the partition kernels: RefineWith,
 // ProductWith, the scratch-backed swap checks (HasSwapWith, FindSwapWith)
-// and the approximate-error kernels (SwapRemovals, ConstancyRemovals). A
-// single Scratch may be reused across any number of calls, over relations of
-// any size — it grows as needed and cleans up after itself — but it must not
-// be shared between goroutines: parallel callers hold one Scratch per worker
+// and the approximate-error kernels (SwapRemovalsWithin,
+// ConstancyRemovalsWithin and their unbounded wrappers). A single Scratch
+// may be reused across any number of calls, over relations of any size — it
+// grows as needed and cleans up after itself — but it must not be shared
+// between goroutines: parallel callers hold one Scratch per worker
 // (the lattice engine exposes its per-worker scratches for exactly this).
 type Scratch struct {
 	// probe[row] = index of row's class in the left product operand, or -1 if
@@ -28,9 +29,9 @@ type Scratch struct {
 	probe []int32
 	// counts is the one key-indexed table of the grouping loop (keys are
 	// ranks for RefineWith, left-operand class indexes for ProductWith) and
-	// of ConstancyRemovals' rank frequencies. It is sized to the largest of
-	// NumRows and the largest key met so far. All entries are zero between
-	// calls.
+	// of ConstancyRemovalsWithin's rank frequencies. It is sized to the
+	// largest of NumRows and the largest key met so far. All entries are zero
+	// between calls.
 	counts []int32
 	// touched lists the keys dirtied in counts by the current class.
 	touched []int32
@@ -41,12 +42,14 @@ type Scratch struct {
 	outOffsets []int32
 	// keys/keyRows and tmpKeys/tmpRows are the (key, row) buffers of the
 	// radix sort behind the swap kernels. The swap checks key each row by its
-	// A-rank alone; SwapRemovals keys it by the packed (A-rank, B-rank) pair.
+	// A-rank alone; SwapRemovalsWithin keys it by the (A-rank, B-rank) pair
+	// packed per class as A<<bits.Len32(maxB) | B, maxB being the class's
+	// largest B-rank.
 	keys    []uint64
 	keyRows []int32
 	tmpKeys []uint64
 	tmpRows []int32
-	// tails is the patience-sorting buffer of SwapRemovals.
+	// tails is the patience-sorting buffer of SwapRemovalsWithin.
 	tails []int32
 }
 

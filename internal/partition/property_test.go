@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -118,16 +119,14 @@ func TestFlatKernelsMatchNaiveOracles(t *testing.T) {
 				}
 			}
 
-			// Removal counters vs direct per-class recomputation.
-			if gotR, wantR := ctx.SwapRemovals(colX, colY, s), swapRemovalsNaive(ctx, colX, colY); gotR != wantR {
-				t.Fatalf("trial %d: SwapRemovals = %d, naive = %d", trial, gotR, wantR)
-			}
-			if gotR, wantR := ctx.ConstancyRemovals(colX, s), constancyRemovalsNaive(ctx, colX); gotR != wantR {
-				t.Fatalf("trial %d: ConstancyRemovals = %d, naive = %d", trial, gotR, wantR)
-			}
-			if naive && ctx.SwapRemovals(colX, colY, s) == 0 {
+			// Removal counters, unbounded and bounded, vs direct per-class
+			// recomputation.
+			name := fmt.Sprintf("trial %d", trial)
+			if checkSwapRemovals(t, name, ctx, colX, colY, s) == 0 && naive {
 				t.Fatalf("trial %d: swap exists but SwapRemovals = 0", trial)
 			}
+			checkConstancyRemovals(t, name, ctx, colX, s)
+			checkScratchClean(t, name+" after ConstancyRemovalsWithin", s)
 		}
 	}
 }
@@ -163,6 +162,59 @@ func swapRemovalsNaive(p *Partition, colA, colB []int32) int {
 	return removals
 }
 
+// removalLimits are the limits a bounded removal kernel is checked at when
+// the true count is naive: zero, both sides of the boundary, and no limit.
+func removalLimits(naive int) []int {
+	return []int{0, naive - 1, naive, naive + 1, math.MaxInt}
+}
+
+// checkWithin checks one bounded kernel's answer (got, within) at limit
+// against the true count naive: within must be naive <= limit, an accepted
+// count must be exact, and a rejected count must already exceed limit
+// without exceeding the full count.
+func checkWithin(t *testing.T, name string, limit, naive, got int, within bool) {
+	t.Helper()
+	switch {
+	case within != (naive <= limit):
+		t.Fatalf("%s: limit %d: within = %v, naive count %d", name, limit, within, naive)
+	case within && got != naive:
+		t.Fatalf("%s: limit %d: within with count %d, naive count %d", name, limit, got, naive)
+	case !within && (got <= limit || got > naive):
+		t.Fatalf("%s: limit %d: rejected with count %d, want in (limit, %d]", name, limit, got, naive)
+	}
+}
+
+// checkSwapRemovals compares SwapRemovals and SwapRemovalsWithin at every
+// removalLimits limit with the naive oracle, and returns the true count.
+func checkSwapRemovals(t *testing.T, name string, ctx *Partition, colA, colB []int32, s *Scratch) int {
+	t.Helper()
+	naive := swapRemovalsNaive(ctx, colA, colB)
+	if got := ctx.SwapRemovals(colA, colB, s); got != naive {
+		t.Fatalf("%s: SwapRemovals = %d, naive = %d", name, got, naive)
+	}
+	for _, limit := range removalLimits(naive) {
+		got, within := ctx.SwapRemovalsWithin(colA, colB, limit, s)
+		checkWithin(t, name+": SwapRemovalsWithin", limit, naive, got, within)
+	}
+	return naive
+}
+
+// checkConstancyRemovals is checkSwapRemovals for ConstancyRemovals and
+// ConstancyRemovalsWithin. Its ranks index the scratch's counts table, so
+// callers keep them small.
+func checkConstancyRemovals(t *testing.T, name string, ctx *Partition, col []int32, s *Scratch) int {
+	t.Helper()
+	naive := constancyRemovalsNaive(ctx, col)
+	if got := ctx.ConstancyRemovals(col, s); got != naive {
+		t.Fatalf("%s: ConstancyRemovals = %d, naive = %d", name, got, naive)
+	}
+	for _, limit := range removalLimits(naive) {
+		got, within := ctx.ConstancyRemovalsWithin(col, limit, s)
+		checkWithin(t, name+": ConstancyRemovalsWithin", limit, naive, got, within)
+	}
+	return naive
+}
+
 // constancyRemovalsNaive recomputes per-class removals with a plain map.
 func constancyRemovalsNaive(p *Partition, col []int32) int {
 	removals := 0
@@ -196,9 +248,7 @@ func TestRadixSortCrossesCutoff(t *testing.T) {
 		if !checkSwapKernels(t, name, ctx, colA, colB, s) {
 			swapFree++
 		}
-		if got, want := ctx.SwapRemovals(colA, colB, s), swapRemovalsNaive(ctx, colA, colB); got != want {
-			t.Fatalf("%s: SwapRemovals = %d, naive = %d", name, got, want)
-		}
+		checkSwapRemovals(t, name, ctx, colA, colB, s)
 	}
 	for _, rows := range []int{insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 4 * insertionCutoff, 1024} {
 		all := FromConstant(rows)
@@ -220,6 +270,19 @@ func TestRadixSortCrossesCutoff(t *testing.T) {
 					check(name, all, colA, colB)
 					check(name+" skewed ctx", FromColumn(ctxCol, ctxCard), colA, colB)
 				}
+			}
+		}
+		// A- and B-ranks just below 2^31, so the packed (A, B) key of
+		// SwapRemovalsWithin uses all 62 bits.
+		for _, aCard := range []int{2, rows} {
+			for trial := 0; trial < 4; trial++ {
+				colA, colB := swapCase(rng, rows, math.MaxInt32-int32(aCard), 1, aCard, trial > 0)
+				for i := range colB {
+					colB[i] += math.MaxInt32 - int32(3*aCard+3)
+				}
+				name := fmt.Sprintf("rows=%d ranks near 2^31 aCard=%d trial %d", rows, aCard, trial)
+				check(name, all, colA, colB)
+				check(name+" skewed ctx", FromColumn(ctxCol, ctxCard), colA, colB)
 			}
 		}
 	}
@@ -491,6 +554,51 @@ func FuzzRefineWith(f *testing.F) {
 			ctx.ProductWith(got, s)
 			checkScratchClean(t, "fuzz after ProductWith", s)
 			checkRefine(t, "fuzz refine of a refinement", got, ctxCol, s)
+		}
+	})
+}
+
+// FuzzRemovalsWithin checks the bounded removal kernels on fuzz-derived
+// relations: each triple of input bytes is one row's context value, A-rank
+// and B-rank. high lifts the A- and B-ranks of the swap kernel to just below
+// 2^31, so the packed key uses all 62 bits; the constancy kernel counts the
+// unlifted A-ranks, because its ranks index a table. Both kernels are checked
+// at the fuzzed limit and at every removalLimits limit.
+func FuzzRemovalsWithin(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 3, 1, 0, 0, 1, 1, 0}, 1, false)
+	f.Add([]byte{0, 5, 9, 0, 5, 1, 0, 4, 7, 0, 9, 0, 0, 9, 9}, 0, true)
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 1, 7, 7, 2, 7, 7}, -1, false)
+	f.Fuzz(func(t *testing.T, data []byte, limit int, high bool) {
+		rows := len(data) / 3
+		if rows == 0 || rows > 512 {
+			return // the naive oracles are quadratic per class
+		}
+		ctxCol := make([]int32, rows)
+		colA := make([]int32, rows)
+		colB := make([]int32, rows)
+		for i := 0; i < rows; i++ {
+			ctxCol[i] = int32(data[3*i] % 8)
+			colA[i] = int32(data[3*i+1])
+			colB[i] = int32(data[3*i+2])
+		}
+		swapA, swapB := colA, colB
+		if high {
+			swapA, swapB = make([]int32, rows), make([]int32, rows)
+			for i := range swapA {
+				swapA[i] = math.MaxInt32 - 255 + colA[i]
+				swapB[i] = math.MaxInt32 - 255 + colB[i]
+			}
+		}
+		s := NewScratch()
+		for _, ctx := range []*Partition{FromColumn(ctxCol, 8), FromConstant(rows)} {
+			naive := checkSwapRemovals(t, "fuzz", ctx, swapA, swapB, s)
+			got, within := ctx.SwapRemovalsWithin(swapA, swapB, limit, s)
+			checkWithin(t, "fuzz: SwapRemovalsWithin", limit, naive, got, within)
+
+			naive = checkConstancyRemovals(t, "fuzz", ctx, colA, s)
+			got, within = ctx.ConstancyRemovalsWithin(colA, limit, s)
+			checkWithin(t, "fuzz: ConstancyRemovalsWithin", limit, naive, got, within)
+			checkScratchClean(t, "fuzz after ConstancyRemovalsWithin", s)
 		}
 	})
 }

@@ -1,5 +1,10 @@
 package partition
 
+import (
+	"math"
+	"math/bits"
+)
+
 // SwapWitness identifies a pair of rows (s, t) within one equivalence class
 // such that s precedes t on colA but t precedes s on colB — a "swap" in the
 // sense of Definition 5, restricted to the context defining this partition.
@@ -42,13 +47,6 @@ func (p *Partition) FindSwap(colA, colB []int32) (SwapWitness, bool) {
 // FindSwapWith is FindSwap using s as scratch space (nil allocates one).
 func (p *Partition) FindSwapWith(colA, colB []int32, s *Scratch) (SwapWitness, bool) {
 	return p.findSwap(colA, colB, true, s)
-}
-
-// pairKey packs a row's (A-rank, B-rank) pair into one radix-sortable key:
-// ascending key order is ascending (A, B) lexicographic order. Ranks are
-// non-negative int32s, so the unsigned widening is order-preserving.
-func pairKey(a, b int32) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 func (p *Partition) findSwap(colA, colB []int32, wantWitness bool, s *Scratch) (SwapWitness, bool) {
@@ -96,25 +94,34 @@ func (p *Partition) findSwap(colA, colB []int32, wantWitness bool, s *Scratch) (
 // SwapRemovals returns the minimum number of tuples that must be removed from
 // the relation so that no class of the context partition contains a swap
 // between colA and colB — the g3-style error of the OD X: A ~ B (the receiver
-// being Π*X). Within each class the largest swap-free subset is the longest
+// being Π*X). It is SwapRemovalsWithin with no limit.
+func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
+	removals, _ := p.SwapRemovalsWithin(colA, colB, math.MaxInt, s)
+	return removals
+}
+
+// SwapRemovalsWithin counts SwapRemovals class by class and stops after the
+// first class that takes the running total past limit. within reports
+// whether the full count is at most limit; when it is, removals is exact,
+// and when it is not, removals is a partial count that already exceeds
+// limit. Within each class the largest swap-free subset is the longest
 // non-decreasing subsequence of B-ranks once the class is ordered by (A, B);
 // unlike the swap checks it needs B ascending within A-ties, so the class is
-// sorted with the scratch radix sort on the packed (A, B) key and the
+// sorted on the per-class packed (A, B) key of sortClassByRanks and the
 // subsequence found by patience sorting. The whole computation is
 // allocation-free on a warm scratch. A nil scratch allocates one.
-func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
+func (p *Partition) SwapRemovalsWithin(colA, colB []int32, limit int, s *Scratch) (removals int, within bool) {
 	if s == nil {
 		s = NewScratch()
 	}
-	removals := 0
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)
-		keys, _ := s.sortClassByRanks(cls, colA, colB)
+		keys, bMask := s.sortClassByRanks(cls, colA, colB)
 		// Longest non-decreasing subsequence over the B-ranks: tails[k] holds
 		// the smallest possible tail of a subsequence of length k+1.
 		tails := s.tails[:0]
 		for _, key := range keys {
-			b := int32(uint32(key))
+			b := int32(key & bMask)
 			// First tail strictly greater than b (upper bound), since equal
 			// values extend a non-decreasing subsequence.
 			lo, hi := 0, len(tails)
@@ -134,21 +141,33 @@ func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
 		}
 		s.tails = tails[:0]
 		removals += len(cls) - len(tails)
+		if removals > limit {
+			return removals, false
+		}
 	}
-	return removals
+	return removals, removals <= limit
 }
 
 // ConstancyRemovals returns the minimum number of tuples that must be removed
 // so that attribute col is constant within every class of the partition — the
-// g3 error of the FD X → A (the receiver being Π*X): per class, everything
-// but the most frequent rank goes. The frequency count uses the scratch's
-// rank-indexed counts table, so the computation is allocation-free on a warm
-// scratch. A nil scratch allocates one.
+// g3 error of the FD X → A (the receiver being Π*X). It is
+// ConstancyRemovalsWithin with no limit.
 func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
+	removals, _ := p.ConstancyRemovalsWithin(col, math.MaxInt, s)
+	return removals
+}
+
+// ConstancyRemovalsWithin counts ConstancyRemovals class by class and stops
+// after the first class that takes the running total past limit, with the
+// same contract as SwapRemovalsWithin: removals is exact when within, and
+// exceeds limit otherwise. Per class, everything but the most frequent rank
+// goes. The frequency count uses the scratch's rank-indexed counts table, so
+// the computation is allocation-free on a warm scratch. A nil scratch
+// allocates one.
+func (p *Partition) ConstancyRemovalsWithin(col []int32, limit int, s *Scratch) (removals int, within bool) {
 	if s == nil {
 		s = NewScratch()
 	}
-	removals := 0
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)
 		touched := s.touched[:0]
@@ -171,33 +190,50 @@ func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
 		}
 		s.touched = touched
 		removals += len(cls) - int(best)
+		if removals > limit {
+			return removals, false
+		}
 	}
-	return removals
+	return removals, removals <= limit
 }
 
-// sortClassByRanks loads the class's (A-rank, B-rank, row) triples into the
-// scratch key buffers and sorts them by (A, B) ascending, returning the
-// sorted pairKeys and the rows permuted in lockstep. The buffers are valid
-// until the next scratch call.
-func (s *Scratch) sortClassByRanks(cls []int32, colA, colB []int32) (keys []uint64, rows []int32) {
-	keys, rows = s.keyBufs(len(cls))
-	var maxKey uint64
+// sortClassByRanks loads the class's (A-rank, B-rank) pairs into the scratch
+// key buffer and sorts them by (A, B) ascending. Each pair is packed as
+// A<<bits.Len32(maxB) | B, with maxB the largest B-rank in the class, so the
+// key is only as wide as this class's ranks need and the radix sort stops
+// after that many digits. It returns the sorted keys and bMask, which reads
+// the B-rank back out of a key (key & bMask). Ranks are non-negative int32s,
+// so a key takes at most 62 bits. The buffer is valid until the next scratch
+// call.
+func (s *Scratch) sortClassByRanks(cls []int32, colA, colB []int32) (keys []uint64, bMask uint64) {
+	keys, rows := s.keyBufs(len(cls))
+	var maxB uint32
 	for j, row := range cls {
-		key := pairKey(colA[row], colB[row])
-		keys[j] = key
+		b := uint32(colB[row])
+		keys[j] = uint64(b)
 		rows[j] = row
+		if b > maxB {
+			maxB = b
+		}
+	}
+	shift := uint(bits.Len32(maxB))
+	var maxKey uint64
+	for j, row := range rows {
+		key := uint64(uint32(colA[row]))<<shift | keys[j]
+		keys[j] = key
 		if key > maxKey {
 			maxKey = key
 		}
 	}
 	s.sortKeysRows(keys, rows, maxKey)
-	return keys, rows
+	return keys, 1<<shift - 1
 }
 
-// sortClassByA is sortClassByRanks keyed on the A-rank alone: the returned
-// keys are the A-ranks, ascending, and rows tied on A keep their class order
-// (the sort is stable). The narrower key lets the radix sort stop after the
-// digits of the largest A-rank.
+// sortClassByA loads the class's rows into the scratch key buffers keyed on
+// the A-rank alone and sorts them, returning the A-ranks ascending with the
+// rows permuted in lockstep; rows tied on A keep their class order (the sort
+// is stable). The narrow key lets the radix sort stop after the digits of
+// the largest A-rank.
 func (s *Scratch) sortClassByA(cls []int32, colA []int32) (keys []uint64, rows []int32) {
 	keys, rows = s.keyBufs(len(cls))
 	var maxKey uint64
